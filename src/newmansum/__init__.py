@@ -1,5 +1,5 @@
 """Exact evaluation of Newman digit sums S_{m,l}(x) with a brute-force
-oracle, two logarithmic-time algorithms for S_{3,0}, sharp growth bounds,
+oracle, two O(log N)-step algorithms for S_{3,0}, sharp growth bounds,
 and a verification CLI."""
 
 from .core import (
@@ -26,6 +26,7 @@ from .oracle import (
     OracleCapError,
     DEFAULT_ORACLE_CAP,
     KERNEL_BACKEND,
+    KERNEL_REASON,
     oracle_cap,
     oracle_sum,
     oracle_interval_sum,

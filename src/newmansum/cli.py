@@ -6,6 +6,7 @@ error}.  All output except bench timings is byte-deterministic.
 """
 
 import argparse
+import contextlib
 import os
 import sys
 import tempfile
@@ -22,6 +23,21 @@ class _Parser(argparse.ArgumentParser):
         self.exit(64, f"{self.prog}: error: {message}\n")
 
 
+@contextlib.contextmanager
+def _any_length_ints():
+    """Lift CPython's limit on int<->decimal string conversions for the
+    duration, restoring the caller's setting afterwards."""
+    if not hasattr(sys, "set_int_max_str_digits"):   # Python without the limit
+        yield
+        return
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(saved)
+
+
 def _natural(text: str) -> int:
     s = text.strip().lower()
     try:
@@ -30,7 +46,8 @@ def _natural(text: str) -> int:
         elif s.startswith("0b"):
             value = int(s[2:], 2)
         else:
-            value = int(s, 10)
+            with _any_length_ints():
+                value = int(s, 10)
     except ValueError:
         raise argparse.ArgumentTypeError(f"not a natural number: {text!r}")
     if value < 0:
@@ -91,20 +108,21 @@ def _cmd_eval(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
-    print(value)
-    if args.trace:
-        if args.algorithm == "decomposition":
-            terms = core.decomposition_terms(N)
-            for desc, v in terms:
-                print(f"{desc} = {v}")
-            print(_sum_line([v for _, v in terms], value))
-        else:
-            pairs = core.recursion_trace(N)
-            for Nk, c in pairs:
-                print(f"S({Nk}) = 3*S({Nk // 4}) {'+' if c >= 0 else '-'} {abs(c)}")
-            weighted = [3 ** k * c for k, (_, c) in enumerate(pairs)]
-            concluding = [w for w in reversed(weighted) if w != 0]
-            print(_sum_line(concluding, value))
+    with _any_length_ints():
+        print(value)
+        if args.trace:
+            if args.algorithm == "decomposition":
+                terms = core.decomposition_terms(N)
+                for desc, v in terms:
+                    print(f"{desc} = {v}")
+                print(_sum_line([v for _, v in terms], value))
+            else:
+                pairs = core.recursion_trace(N)
+                for Nk, c in pairs:
+                    print(f"S({Nk}) = 3*S({Nk // 4}) {'+' if c >= 0 else '-'} {abs(c)}")
+                weighted = [3 ** k * c for k, (_, c) in enumerate(pairs)]
+                concluding = [w for w in reversed(weighted) if w != 0]
+                print(_sum_line(concluding, value))
     return 0
 
 
@@ -202,8 +220,13 @@ def _best_of(fn, repeats: int = 5) -> float:
 
 
 def _cmd_bench(args) -> int:
-    cap = oracle.oracle_cap()
-    print(f"oracle kernel: {oracle.KERNEL_BACKEND}")
+    try:
+        cap = oracle.oracle_cap()
+    except oracle.OracleCapError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    reason = f" ({oracle.KERNEL_REASON})" if oracle.KERNEL_REASON else ""
+    print(f"oracle kernel: {oracle.KERNEL_BACKEND}{reason}")
     for e in args.exponents:
         N = 2 ** e
         td = _best_of(lambda: core.newman_sum_decomposition(N))

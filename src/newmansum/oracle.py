@@ -12,27 +12,33 @@ would silently run for hours.
 The enumeration kernel is selected at import time: the Cython module
 ``newmansum._speedups`` when it was built, else the pure-Python twin
 ``newmansum._pykernel``.  Setting ``NEWMANSUM_PURE`` in the environment
-forces the pure kernel.
+forces the pure kernel.  ``KERNEL_REASON`` says why the compiled kernel
+is not in use (empty when it is).
 """
 
 import os
 from array import array
+from importlib import import_module
 
 from . import _pykernel
 
-try:
-    if os.environ.get("NEWMANSUM_PURE"):
-        raise ImportError("pure kernel forced by NEWMANSUM_PURE")
-    from . import _speedups as _kernel
-    KERNEL_BACKEND = "compiled"
-except ImportError:
+KERNEL_REASON = ""
+if os.environ.get("NEWMANSUM_PURE"):
+    KERNEL_REASON = "forced by NEWMANSUM_PURE"
+else:
+    try:
+        _kernel = import_module("._speedups", __package__)
+    except ImportError as exc:
+        KERNEL_REASON = f"compiled kernel not built: {exc}"
+if KERNEL_REASON:
     _kernel = _pykernel
-    KERNEL_BACKEND = "pure"
+KERNEL_BACKEND = "pure" if KERNEL_REASON else "compiled"
 
 __all__ = [
     "OracleCapError",
     "DEFAULT_ORACLE_CAP",
     "KERNEL_BACKEND",
+    "KERNEL_REASON",
     "oracle_cap",
     "oracle_sum",
     "oracle_interval_sum",
@@ -50,16 +56,20 @@ _KERNEL_LIMIT = 2 ** 62
 
 
 class OracleCapError(ValueError):
-    """Enumeration bound exceeds the oracle cap."""
+    """Enumeration bound exceeds the oracle cap, or the cap is malformed."""
 
 
 def oracle_cap() -> int:
     """The active enumeration cap (environment override or default)."""
     env = os.environ.get(_CAP_ENV)
     if env:
-        cap = int(env)
+        try:
+            cap = int(env)
+        except ValueError:
+            cap = -1     # reported below, like a negative cap
         if cap < 0:
-            raise ValueError(f"{_CAP_ENV} must be nonnegative")
+            raise OracleCapError(
+                f"{_CAP_ENV} must be a nonnegative integer, got {env!r}")
         return cap
     return DEFAULT_ORACLE_CAP
 

@@ -1,9 +1,11 @@
+import random
 import subprocess
 import sys
+from decimal import Decimal
 
 import pytest
 
-from newmansum import cli
+from newmansum import cli, core, oracle
 
 
 def invoke(argv, capsys):
@@ -48,6 +50,28 @@ def test_eval_arbitrary_length_argument(capsys):
     code, out, _ = invoke(["eval", n], capsys)
     assert code == 0
     assert int(out) >= 1
+
+
+def test_eval_prints_values_past_str_limit(capsys):
+    # 5000 hex digits: S has 4772 decimal digits, past CPython's default
+    # int->str limit of 4300
+    N = int("f" * 5000, 16)
+    limit = sys.get_int_max_str_digits()
+    code, out, _ = invoke(["eval", "0x" + "f" * 5000], capsys)
+    assert code == 0
+    assert Decimal(out) == Decimal(core._scalar_recursive(N))
+    assert sys.get_int_max_str_digits() == limit
+
+
+def test_eval_accepts_decimal_past_str_limit(capsys):
+    N = random.Random(5000).randrange(10 ** 4999, 10 ** 5000)
+    digits = str(Decimal(N))
+    assert len(digits) == 5000
+    code, out_decimal, _ = invoke(["eval", digits], capsys)
+    assert code == 0
+    code, out_hex, _ = invoke(["eval", hex(N)], capsys)
+    assert code == 0
+    assert out_decimal == out_hex
 
 
 def test_eval_residues(capsys):
@@ -119,6 +143,18 @@ def test_eval_oracle_cap_exceeded(capsys):
         ["eval", str(2 ** 33), "--algorithm", "oracle"], capsys)
     assert code == 2
     assert "oracle cap" in err
+
+
+@pytest.mark.parametrize("argv", [["eval", "100", "--algorithm", "oracle"],
+                                  ["verify", "--max", "10"],
+                                  ["bounds", "--max", "10"],
+                                  ["bench", "--exponents", "4"]])
+@pytest.mark.parametrize("cap", ["abc", "-1"])
+def test_malformed_oracle_cap(argv, cap, capsys, monkeypatch):
+    monkeypatch.setenv("NEWMANSUM_ORACLE_CAP", cap)
+    code, _, err = invoke(argv, capsys)
+    assert code == 2
+    assert err.startswith("error: NEWMANSUM_ORACLE_CAP")
 
 
 def test_usage_errors(capsys):
@@ -259,6 +295,11 @@ def test_bench_runs(capsys):
     assert code == 0
     lines = out.splitlines()
     assert lines[0].startswith("oracle kernel: ")
+    if oracle.KERNEL_BACKEND == "pure":
+        assert lines[0] == f"oracle kernel: pure ({oracle.KERNEL_REASON})"
+        assert oracle.KERNEL_REASON
+    else:
+        assert lines[0] == "oracle kernel: compiled"
     assert any(line.startswith("N=2^20:") for line in lines)
     assert any("oracle n/a (over cap)" in line for line in lines if "2^64" in line)
     assert any(line.startswith("prefix scan to ") for line in lines)
@@ -280,8 +321,8 @@ def test_pure_python_fallback_selectable():
     proc = subprocess.run(
         [sys.executable, "-c",
          "from newmansum import oracle; print(oracle.KERNEL_BACKEND); "
-         "print(oracle.oracle_sum(3, 0, 500000))"],
+         "print(oracle.KERNEL_REASON); print(oracle.oracle_sum(3, 0, 500000))"],
         capture_output=True, text=True,
         env=dict(os.environ, NEWMANSUM_PURE="1"))
     assert proc.returncode == 0
-    assert proc.stdout.splitlines() == ["pure", "18261"]
+    assert proc.stdout.splitlines() == ["pure", "forced by NEWMANSUM_PURE", "18261"]

@@ -1,5 +1,7 @@
+import random
+
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import brute
 from newmansum import core
@@ -233,6 +235,63 @@ def test_trace_terms_sum_to_value(x):
 def test_positivity_and_growth_cap(N):
     s = core.newman_sum_recursive(N)
     assert 1 <= s <= N
+
+
+# ------------------------------------------------------------ huge arguments
+
+def _fast_recursive(N):
+    return core._assemble(core._recursion_digits(N))
+
+
+def _fast_decomposition(N):
+    return core._assemble(core._decomposition_digits(N))
+
+
+# bit length first, uniformly, so that sizes up to 2^14 bits are drawn
+_BY_BIT_LENGTH = st.sampled_from(range(2 ** 14 + 1)).flatmap(
+    lambda b: st.integers(1 << b >> 1, (1 << b) - 1))
+
+
+@settings(max_examples=25)
+@given(_BY_BIT_LENGTH)
+def test_digit_scan_matches_scalar_loops(N):
+    assert _fast_recursive(N) == core._scalar_recursive(N)
+    assert _fast_decomposition(N) == core._scalar_decomposition(N)
+
+
+def test_digit_scan_small_exhaustive():
+    pref = brute.prefix(3, 0, 1024)
+    for N in range(1025):
+        assert _fast_recursive(N) == pref[N], N
+        assert _fast_decomposition(N) == pref[N], N
+
+
+@pytest.mark.parametrize("bits", [core._FAST_BITS - 1, core._FAST_BITS,
+                                  core._FAST_BITS + 1])
+def test_crossover_boundary(bits):
+    rng = random.Random(bits)
+    for N in (1 << (bits - 1), (1 << bits) - 1, rng.getrandbits(bits) | 1 << (bits - 1)):
+        want = core._scalar_recursive(N)
+        assert core._scalar_decomposition(N) == want
+        assert core.newman_sum_recursive(N) == want
+        assert core.newman_sum_decomposition(N) == want
+        assert core.newman_sum_recursive(N, {}) == want
+
+
+def test_assemble():
+    assert core._assemble([]) == 0
+    assert core._assemble([2, -1, 0, 4]) == 2 - 81 + 4 * 81 ** 3
+    rng = random.Random(7)
+    for n in (1, core._LIMB - 1, core._LIMB, core._LIMB + 1, 5 * core._LIMB + 3, 1000):
+        digits = [rng.randint(-121, 121) for _ in range(n)]
+        assert core._assemble(digits) == sum(d * 81 ** i for i, d in enumerate(digits))
+
+
+def test_fast_paths_at_2_16_bits():
+    N = random.Random(16).getrandbits(2 ** 16) | 1 << (2 ** 16 - 1)
+    want = core._scalar_recursive(N)
+    assert core.newman_sum_recursive(N) == want
+    assert core.newman_sum_decomposition(N) == want
 
 
 # ------------------------------------------------------------- residue classes
