@@ -8,8 +8,6 @@ from .core import (
     bit_exponents,
     alt_exponent_sum,
     classify_prefix,
-    ReductionOutcome,
-    reduce_interval,
     power_sum,
     dyadic_sum,
     boundary_term,

@@ -20,6 +20,7 @@ on demand from their closed forms:
 
 import math
 from dataclasses import dataclass
+from operator import index
 
 from mpmath import mp
 
@@ -119,6 +120,7 @@ def delta(N: int, S: int | None = None):
     S may be passed in when already known; otherwise it is computed with
     the divide-by-four recursion.
     """
+    N = index(N)
     if N < 1:
         raise ValueError("delta needs N >= 1")
     if S is None:
@@ -129,6 +131,7 @@ def delta(N: int, S: int | None = None):
 
 def lower_bound(N: int) -> int:
     """floor(2*(N/6)^lam), a sharp lower bound for S_{3,0}(N), N >= 1."""
+    N = index(N)
     if N < 1:
         raise ValueError("lower_bound needs N >= 1")
     return _guarded_round(lambda: 2 * (mp.mpf(N) / 6) ** _lam(), mp.floor)
@@ -136,6 +139,7 @@ def lower_bound(N: int) -> int:
 
 def upper_bound(N: int) -> int:
     """ceil((55/3)*(N/65)^lam), a sharp upper bound for S_{3,0}(N), N >= 2."""
+    N = index(N)
     if N < 2:
         raise ValueError("upper_bound needs N >= 2")
     return _guarded_round(lambda: mp.mpf(55) / 3 * (mp.mpf(N) / 65) ** _lam(), mp.ceil)
@@ -144,6 +148,7 @@ def upper_bound(N: int) -> int:
 def coquet_ratio(x: int, S3x: int | None = None):
     """S_{3,0}(3x) * x^(-lam) for x >= 2; stays inside
     [2/sqrt(3), (55/3)*(3/65)^lam]."""
+    x = index(x)
     if x < 2:
         raise ValueError("coquet_ratio needs x >= 2")
     if S3x is None:
@@ -171,26 +176,27 @@ def eta_defined(x: int) -> int:
     return thue_morse_sign(3 * x - 3)
 
 
-def eta_derived(x: int, memo: dict | None = None) -> int:
+def eta_derived(x: int) -> int:
     """The correction term that 1-periodicity of Coquet's F would force:
     3*S_{3,0}(3x) - S_{3,0}(12x).
 
     Disagrees with ``eta_defined`` already at x = 1, 3, 5, 9; that
     contradiction is the point of the checker.
     """
+    x = index(x)
     if x < 1:
         raise ValueError("eta_derived needs x >= 1")
-    return (3 * newman_sum_recursive(3 * x, memo)
-            - newman_sum_recursive(12 * x, memo))
+    return 3 * newman_sum_recursive(3 * x) - newman_sum_recursive(12 * x)
 
 
-def eta_half(k: int, memo: dict | None = None) -> int:
+def eta_half(k: int) -> int:
     """The half-integer extension eta(k + 1/2) that periodicity of F would
     force: 3*S(3k) - S(3*(4k+2)) + 3*(-1)^sigma(3k), for k >= 0."""
+    k = index(k)
     if k < 0:
         raise ValueError("eta_half needs k >= 0")
-    return (3 * newman_sum_recursive(3 * k, memo)
-            - newman_sum_recursive(3 * (4 * k + 2), memo)
+    return (3 * newman_sum_recursive(3 * k)
+            - newman_sum_recursive(3 * (4 * k + 2))
             + 3 * thue_morse_sign(3 * k))
 
 
@@ -208,12 +214,13 @@ class DeltaRecord:
     in_bounds: bool
 
 
-def delta_record(N: int, S: int | None = None, memo: dict | None = None) -> DeltaRecord:
+def delta_record(N: int, S: int | None = None) -> DeltaRecord:
     """Assemble the DeltaRecord for one N >= 1."""
+    N = index(N)
     if N < 1:
         raise ValueError("delta_record needs N >= 1")
     if S is None:
-        S = newman_sum_recursive(N, memo)
+        S = newman_sum_recursive(N)
     d = delta(N, S)
     lo = lower_bound(N)
     hi = upper_bound(N) if N >= 2 else None
@@ -247,9 +254,8 @@ def scan(start: int, stop: int, step: int = 1):
         raise ValueError("scan needs 1 <= start < stop")
     if step < 1:
         raise ValueError("scan needs step >= 1")
-    memo: dict = {}
     for N in range(start, stop, step):
-        yield delta_record(N, memo=memo)
+        yield delta_record(N)
 
 
 @dataclass
@@ -266,11 +272,10 @@ def eta_rows(x_max: int) -> list:
     """EtaRows for all odd x up to x_max."""
     if x_max < 1:
         raise ValueError("eta_rows needs x_max >= 1")
-    memo: dict = {}
     rows = []
     for x in range(1, x_max + 1, 2):
         d = eta_defined(x)
-        e = eta_derived(x, memo)
+        e = eta_derived(x)
         rows.append(EtaRow(x, d, e, d == e))
     return rows
 

@@ -199,10 +199,9 @@ def _cmd_bounds(args) -> int:
 
 
 def _cmd_eta(args) -> int:
-    memo: dict = {}
     print(f"{'x':>6} {'defined':>8} {'derived':>8} {'half':>6}  status")
     for row in analysis.eta_rows(args.max):
-        half = analysis.eta_half(row.x, memo)
+        half = analysis.eta_half(row.x)
         status = "ok" if row.agree else "MISMATCH"
         print(f"{row.x:>6} {row.eta_defined:>+8d} {row.eta_derived:>+8d} "
               f"{half:>+6d}  {status}")
@@ -297,4 +296,12 @@ def main(argv=None) -> int:
 
 
 def run() -> None:
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed stdout early.  Point it at devnull so that the
+        # interpreter's final flush is quiet, and report an I/O error.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 2
+    sys.exit(code)

@@ -19,11 +19,14 @@ O(x) enumeration in :mod:`newmansum.oracle`:
   S(N) = 3*S(N//4) + c(N) whose correction term c(N) depends only on
   N mod 24 and the Thue-Morse sign of N.
 
-Both loops take O(log x) steps, but each step costs O(log x) bit operations
-on huge integers.  From ``_FAST_BITS`` bits on, both evaluators instead
-find the small digits d_j of S_{3,0}(x) = sum of d_j * 3^j in one pass
-over the bytes of x and sum them by divide and conquer (``_assemble``), so
-their cost is bounded by big-integer multiplication.
+Both algorithms take O(log x) steps.  Each evaluator runs its steps as a
+finite-state transducer: it finds the small digits d_j of
+S_{3,0}(x) = sum of d_j * 3^j in one pass over the bytes of x and sums
+them by divide and conquer (``_assemble``), so its cost is bounded by
+big-integer multiplication.  ``decomposition_terms`` and
+``recursion_trace`` take the same steps one at a time on the whole
+integer, for display and as the reference the digit scan is tested
+against.
 
 Sums over the other residue classes mod 3, mod 6 and mod 3*2^m reduce to
 S_{3,0} by fixed linear combinations and are exposed as ``residue_sum``,
@@ -34,9 +37,9 @@ limited to machine-word range.
 """
 
 from array import array
-from dataclasses import dataclass
+from decimal import Decimal
 from functools import cache
-from operator import mul
+from operator import index, mul
 
 __all__ = [
     "digit_sum",
@@ -44,8 +47,6 @@ __all__ = [
     "bit_exponents",
     "alt_exponent_sum",
     "classify_prefix",
-    "ReductionOutcome",
-    "reduce_interval",
     "power_sum",
     "dyadic_sum",
     "boundary_term",
@@ -79,6 +80,7 @@ def bit_exponents(x: int) -> list:
 
     The powers 2^k over the returned exponents sum back to x exactly.
     """
+    x = index(x)
     if x < 0:
         raise ValueError("bit_exponents needs x >= 0")
     exps = []
@@ -110,6 +112,7 @@ def alt_exponent_sum(y: int) -> int:
     Congruent to y mod 3, which is what makes it drive the six-way
     interval reduction.  Undefined for y = 0 (empty expansion).
     """
+    y = index(y)
     if y < 1:
         raise ValueError("alt_exponent_sum needs y >= 1")
     even = (y & _even_bits_mask(y.bit_length())).bit_count()
@@ -126,6 +129,7 @@ def power_sum(m: int) -> int:
 
     m = 0 is the single summand n = 0, so S_{3,0}(1) = 1.
     """
+    m = index(m)
     if m < 0:
         raise ValueError("power_sum needs m >= 0")
     if m == 0:
@@ -143,6 +147,7 @@ def dyadic_sum(n_parity: str, m: int) -> int:
     m = 0 is outside this closed form; single-point intervals are handled
     by ``boundary_term``.
     """
+    m = index(m)
     if m < 1:
         raise ValueError("dyadic_sum needs m >= 1")
     if n_parity not in ("even", "odd"):
@@ -154,47 +159,17 @@ def dyadic_sum(n_parity: str, m: int) -> int:
     return 0
 
 
-@dataclass(frozen=True)
-class ReductionOutcome:
-    """A signed reference to a closed-form primitive interval sum.
-
-    ``sign * value-of-form`` equals S_{3,0}([y, y + 2^m)) for any prefix y
-    in the class that produced this outcome.
-    """
-
-    sign: int          # +1 or -1
-    form: str          # 'power' for [0, 2^m), 'dyadic' for [2^n, 2^n + 2^m)
-    n_parity: str | None  # parity of n for the dyadic form, else None
-    m: int
-
-    def value(self) -> int:
-        base = power_sum(self.m) if self.form == "power" else dyadic_sum(self.n_parity, self.m)
-        return self.sign * base
-
-
-_REDUCTION_TABLE = {
-    0: (1, "power", None),
-    1: (1, "dyadic", "even"),
-    2: (-1, "dyadic", "odd"),
-    3: (-1, "power", None),
-    4: (-1, "dyadic", "even"),
-    5: (1, "dyadic", "odd"),
-}
-
-
-def reduce_interval(tc: int, m: int) -> ReductionOutcome:
-    """Reduce S_{3,0}([y, y+2^m)) to a signed primitive, keyed by the class
-    of the prefix y (``classify_prefix(y)``).
-
-    Requires m >= 1 and m below the lowest set bit of y; the decomposition
-    driver guarantees both.
-    """
-    if tc not in _REDUCTION_TABLE:
-        raise ValueError("class must be in 0..5")
-    if m < 1:
-        raise ValueError("reduce_interval needs m >= 1")
-    sign, form, parity = _REDUCTION_TABLE[tc]
-    return ReductionOutcome(sign, form, parity, m)
+# How S_{3,0}([y, y + 2^m)) reduces to a closed form, by the class
+# classify_prefix(y) of a prefix y whose lowest set bit lies above m >= 1:
+# (sign, 'power' for [0, 2^m) or 'dyadic' for [2^n, 2^n + 2^m), parity of n).
+_REDUCTION_TABLE = (
+    (1, "power", None),
+    (1, "dyadic", "even"),
+    (-1, "dyadic", "odd"),
+    (-1, "power", None),
+    (-1, "dyadic", "even"),
+    (1, "dyadic", "odd"),
+)
 
 
 def boundary_term(N: int) -> int:
@@ -214,35 +189,18 @@ def newman_sum_decomposition(x: int) -> int:
     in closed form, reduces every later interval through the six-way case
     split on the running alternating exponent sum of the prefix, and
     closes an odd x with the one-point boundary term.  O(sigma(x)) closed
-    forms overall.
+    forms overall, found together by one digit scan of x.
     """
+    x = index(x)
     if x < 0:
         raise ValueError("newman_sum_decomposition needs x >= 0")
-    if x.bit_length() >= _FAST_BITS:
-        return _assemble(_decomposition_digits(x))
-    return _scalar_decomposition(x)
-
-
-def _scalar_decomposition(x: int) -> int:
-    """The decomposition one set bit at a time, used below _FAST_BITS."""
-    total = 0
-    t = 0
-    for i, k in enumerate(bit_exponents(x)):
-        if i == 0:
-            total += power_sum(k)
-        elif k == 0:
-            total += boundary_term(x)
-        else:
-            sign, form, parity = _REDUCTION_TABLE[t % 6]
-            base = power_sum(k) if form == "power" else dyadic_sum(parity, k)
-            total += sign * base
-        t += 1 if k % 2 == 0 else -1
-    return total
+    return _assemble(_decomposition_digits(x))
 
 
 def decomposition_terms(x: int) -> list:
     """The (description, signed term) pairs summed by
     ``newman_sum_decomposition``, in processing order (descending bits)."""
+    x = index(x)
     if x < 0:
         raise ValueError("decomposition_terms needs x >= 0")
     terms = []
@@ -251,15 +209,16 @@ def decomposition_terms(x: int) -> list:
         if i == 0:
             terms.append((f"S(2^{k})", power_sum(k)))
         elif k == 0:
-            terms.append((f"S([{x - 1},{x}))", boundary_term(x)))
+            # through Decimal, which has no int->str length limit
+            terms.append((f"S([{Decimal(x - 1)},{Decimal(x)}))", boundary_term(x)))
         else:
-            out = reduce_interval(t % 6, k)
-            s = "+" if out.sign > 0 else "-"
-            if out.form == "power":
-                desc = f"{s}S(2^{k})"
+            sign, form, parity = _REDUCTION_TABLE[t % 6]
+            s = "+" if sign > 0 else "-"
+            if form == "power":
+                terms.append((f"{s}S(2^{k})", sign * power_sum(k)))
             else:
-                desc = f"{s}S([2^n,2^n+2^{k})) n {out.n_parity}"
-            terms.append((desc, out.value()))
+                terms.append((f"{s}S([2^n,2^n+2^{k})) n {parity}",
+                              sign * dyadic_sum(parity, k)))
         t += 1 if k % 2 == 0 else -1
     return terms
 
@@ -278,40 +237,16 @@ def recursion_correction(N: int) -> int:
     return -c if N.bit_count() & 1 else c
 
 
-def newman_sum_recursive(N: int, memo: dict | None = None) -> int:
-    """S_{3,0}(N) by the divide-by-four recursion, iteratively.
+def newman_sum_recursive(N: int) -> int:
+    """S_{3,0}(N) by the divide-by-four recursion.
 
-    Depth is log4(N); each level costs one floor division and one
-    correction lookup.  Pass a dict as ``memo`` to share previously
-    computed values across a batch of calls (the dict is updated in
-    place and must not be shared between concurrent workers).
+    Unrolled, S_{3,0}(N) = sum of 3^k * c(N >> 2k) over the log4(N) levels;
+    one digit scan of N finds every c(N >> 2k).
     """
+    N = index(N)
     if N < 0:
         raise ValueError("newman_sum_recursive needs N >= 0")
-    if memo is None:
-        if N.bit_length() >= _FAST_BITS:
-            return _assemble(_recursion_digits(N))
-        return _scalar_recursive(N)
-    chain = []
-    while N and N not in memo:
-        chain.append(N)
-        N //= 4
-    s = memo[N] if N else 0
-    for n in reversed(chain):
-        s = 3 * s + recursion_correction(n)
-        memo[n] = s
-    return s
-
-
-def _scalar_recursive(N: int) -> int:
-    """The recursion one level at a time, used below _FAST_BITS."""
-    s = 0
-    w = 1
-    while N:
-        s += w * recursion_correction(N)
-        N //= 4
-        w *= 3
-    return s
+    return _assemble(_recursion_digits(N))
 
 
 def recursion_trace(N: int) -> list:
@@ -319,6 +254,7 @@ def recursion_trace(N: int) -> list:
 
     S_{3,0}(N) = sum of 3^k * c(N_k) over the returned pairs.
     """
+    N = index(N)
     if N < 0:
         raise ValueError("recursion_trace needs N >= 0")
     pairs = []
@@ -328,31 +264,33 @@ def recursion_trace(N: int) -> list:
     return pairs
 
 
-def residue_sum(l: int, N: int, memo: dict | None = None) -> int:
+def residue_sum(l: int, N: int) -> int:
     """S_{3,l}(N) for l in {0, 1, 2}, via S_{3,0} at N, 2N and 4N:
 
         S_{3,1}(N) = S(N) - S(2N)
         S_{3,2}(N) = S(N) + S(2N) - S(4N)
     """
+    N = index(N)
     if N < 0:
         raise ValueError("residue_sum needs N >= 0")
     if l == 0:
-        return newman_sum_recursive(N, memo)
+        return newman_sum_recursive(N)
     if l == 1:
-        return newman_sum_recursive(N, memo) - newman_sum_recursive(2 * N, memo)
+        return newman_sum_recursive(N) - newman_sum_recursive(2 * N)
     if l == 2:
-        return (newman_sum_recursive(N, memo) + newman_sum_recursive(2 * N, memo)
-                - newman_sum_recursive(4 * N, memo))
+        return (newman_sum_recursive(N) + newman_sum_recursive(2 * N)
+                - newman_sum_recursive(4 * N))
     raise ValueError("residue must be 0, 1 or 2")
 
 
-def six_residue_sum(j: int, x: int, y: int, memo: dict | None = None) -> int:
+def six_residue_sum(j: int, x: int, y: int) -> int:
     """S_{6,j}([2x, 2y)) for j in 0..5, from S_{3,0} interval sums.
 
     Doubling maps the multiples of 3 in [x, y) onto the multiples of 6 in
     [2x, 2y) with one extra binary one, which pins each class down to a
     fixed combination of S_{3,0} over [x,y), [2x,2y), [4x,4y) and [8x,8y).
     """
+    x, y = index(x), index(y)
     if j not in range(6):
         raise ValueError("j must be in 0..5")
     if x < 0 or x > y:
@@ -361,7 +299,7 @@ def six_residue_sum(j: int, x: int, y: int, memo: dict | None = None) -> int:
         return 0
 
     def iv(a, b):
-        return newman_sum_recursive(b, memo) - newman_sum_recursive(a, memo)
+        return newman_sum_recursive(b) - newman_sum_recursive(a)
 
     if j == 0:
         return iv(x, y)
@@ -377,12 +315,13 @@ def six_residue_sum(j: int, x: int, y: int, memo: dict | None = None) -> int:
     return 2 * iv(2 * x, 2 * y) + iv(4 * x, 4 * y) - iv(8 * x, 8 * y) - iv(x, y)
 
 
-def scaled_residue_sum(m: int, k: int, r: int, n: int, memo: dict | None = None) -> int:
+def scaled_residue_sum(m: int, k: int, r: int, n: int) -> int:
     """S_{3*2^m, k*2^m + r}(2^n) for 0 <= r < 2^m and n > m.
 
     Dropping the low m bits maps the class onto S_{3,k}(2^(n-m)), with the
     Thue-Morse sign of the fixed low part r as a global factor.
     """
+    m, n = index(m), index(n)
     if m < 0:
         raise ValueError("scaled_residue_sum needs m >= 0")
     if k not in (0, 1, 2):
@@ -391,10 +330,10 @@ def scaled_residue_sum(m: int, k: int, r: int, n: int, memo: dict | None = None)
         raise ValueError("r must satisfy 0 <= r < 2^m")
     if n <= m:
         raise ValueError("scaled_residue_sum needs n > m")
-    return thue_morse_sign(r) * residue_sum(k, 2 ** (n - m), memo)
+    return thue_morse_sign(r) * residue_sum(k, 2 ** (n - m))
 
 
-# ------------------------------------------------------------ huge arguments
+# ---------------------------------------------------------------- digit scan
 #
 # Both evaluators compute S_{3,0}(x) = sum of d_j * 3^j with small digits d_j:
 # the recursion has d_k = c(x >> 2k), the decomposition adds each term
@@ -406,14 +345,6 @@ def scaled_residue_sum(m: int, k: int, r: int, n: int, memo: dict | None = None)
 # one digit in radix 81 = 3^4, and _assemble sums them.  This replaces
 # O(log x) steps on O(log x)-bit integers by a linear scan and a
 # divide-and-conquer sum whose cost is bounded by big-integer multiplication.
-
-# Bit length from which the two evaluators take the digit scan.  With the
-# tables built (about 2 ms, once per process), the scan is faster than the
-# scalar loop from about 32 bits on for the recursion and at every size
-# for the decomposition; at 64 bits it takes 5 us against 15 us for the
-# recursion and 7 us against 29 us for the decomposition (CPython 3.11,
-# 2-vCPU Xeon).
-_FAST_BITS = 64
 
 # Radix-81 digits per limb in _assemble (36 base-3 digits, under 2^63).
 _LIMB = 9
@@ -492,7 +423,7 @@ def _recursion_digits(N: int) -> list:
 _TERM_DIGIT = tuple(
     tuple(sign * (power_sum(k) if form == "power" else dyadic_sum(parity, k))
           for k in (2, 1))
-    for sign, form, parity in (_REDUCTION_TABLE[t] for t in range(6)))
+    for sign, form, parity in _REDUCTION_TABLE)
 
 
 def _decomposition_step(t, d):

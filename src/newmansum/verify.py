@@ -83,16 +83,15 @@ def run_core_checks(max_n: int, cap: int | None = None) -> CheckReport:
 
     # residue-class combinations against their own enumerations
     cap_r = min(max_n, 4096)
-    memo: dict = {}
     if cap_r >= 0:
         pref31 = oracle.oracle_prefix(3, 1, cap_r, cap)
         pref32 = oracle.oracle_prefix(3, 2, cap_r, cap)
         for N in range(cap_r + 1):
-            rep.note(core.residue_sum(1, N, memo) == pref31[N], "residue-one", N)
-            rep.note(core.residue_sum(2, N, memo) == pref32[N], "residue-two", N)
+            rep.note(core.residue_sum(1, N) == pref31[N], "residue-one", N)
+            rep.note(core.residue_sum(2, N) == pref32[N], "residue-two", N)
         for N in range(0, cap_r + 1, 2):
-            total = (core.residue_sum(0, N, memo) + core.residue_sum(1, N, memo)
-                     + core.residue_sum(2, N, memo))
+            total = (core.residue_sum(0, N) + core.residue_sum(1, N)
+                     + core.residue_sum(2, N))
             rep.note(total == 0, "residue-partition", N)
 
     return rep

@@ -1,4 +1,7 @@
+import pytest
 from hypothesis import HealthCheck, settings
+
+from newmansum import core
 
 settings.register_profile(
     "suite",
@@ -7,3 +10,15 @@ settings.register_profile(
     suppress_health_check=[HealthCheck.too_slow],
 )
 settings.load_profile("suite")
+
+
+@pytest.fixture
+def corrupt_correction(monkeypatch):
+    """Negate the recursion's correction c(N) for N = 15 (mod 24), in the
+    table and in the byte tables built from it, for one test."""
+    bad = list(core._CORRECTION)
+    bad[15] = -bad[15]
+    monkeypatch.setattr(core, "_CORRECTION", tuple(bad))
+    core._byte_table.cache_clear()
+    yield
+    core._byte_table.cache_clear()

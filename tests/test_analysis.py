@@ -184,3 +184,29 @@ def test_extremal_sequences():
 def test_format_significant():
     assert analysis.format_significant(analysis.delta(6), 12) == "0.483459078354"
     assert analysis.format_significant(analysis.delta(1), 12) == "1.0"
+
+
+def test_numpy_integers_accepted():
+    np = pytest.importorskip("numpy")
+    big = 2 ** 62 + 1   # 4N leaves int64, so a numpy product would wrap
+    assert core.newman_sum_recursive(np.int64(500000)) == 18261
+    assert core.newman_sum_decomposition(np.int64(500000)) == 18261
+    assert type(core.newman_sum_recursive(np.int64(7))) is int
+    assert core.power_sum(np.int64(90)) == core.power_sum(90)
+    assert core.dyadic_sum("even", np.int64(90)) == core.dyadic_sum("even", 90)
+    assert core.bit_exponents(np.int64(500000)) == core.bit_exponents(500000)
+    assert core.classify_prefix(np.int64(2)) == 5
+    assert core.decomposition_terms(np.int64(19)) == core.decomposition_terms(19)
+    assert core.recursion_trace(np.int64(19)) == core.recursion_trace(19)
+    assert all(type(n) is int for n, _ in core.recursion_trace(np.int64(19)))
+    assert core.residue_sum(2, np.int64(big)) == core.residue_sum(2, big)
+    assert core.six_residue_sum(5, np.int64(big - 9), np.int64(big)) \
+        == core.six_residue_sum(5, big - 9, big)
+    assert core.scaled_residue_sum(1, 2, 1, np.int64(70)) == core.scaled_residue_sum(1, 2, 1, 70)
+    assert analysis.delta(np.int64(6)) == analysis.delta(6)
+    assert analysis.lower_bound(np.int64(3)) == 1
+    assert analysis.upper_bound(np.int64(19)) == 7
+    assert analysis.coquet_ratio(np.int64(2)) == analysis.coquet_ratio(2)
+    assert analysis.delta_record(np.int64(260)) == analysis.delta_record(260)
+    assert analysis.eta_derived(np.int64(big)) == analysis.eta_derived(big)
+    assert analysis.eta_half(np.int64(big)) == analysis.eta_half(big)

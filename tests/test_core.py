@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import brute
 from newmansum import core
@@ -111,26 +111,23 @@ def test_dyadic_sum_vs_brute(n):
         assert core.dyadic_sum(parity, m) == want
 
 
+def _reduced(tc, m):
+    """S_{3,0}([y, y + 2^m)) for a prefix y of class tc, from the table."""
+    sign, form, parity = core._REDUCTION_TABLE[tc]
+    return sign * (core.power_sum(m) if form == "power" else core.dyadic_sum(parity, m))
+
+
 def test_reduce_interval_mapping():
-    out = core.reduce_interval(0, 16)
-    assert (out.sign, out.form, out.m) == (1, "power", 16)
-    out = core.reduce_interval(5, 8)
-    assert (out.sign, out.form, out.n_parity) == (1, "dyadic", "odd")
-    assert out.value() == 27
+    assert core._REDUCTION_TABLE[0] == (1, "power", None)
+    assert core._REDUCTION_TABLE[5] == (1, "dyadic", "odd")
+    assert _reduced(0, 16) == core.power_sum(16)
+    assert _reduced(5, 8) == 27
     # class 2 with m = 4; witness prefix y = 2^8 + 2^6 has t = 2 and its
     # lowest set bit above m, as the reduction requires
     y = 2 ** 8 + 2 ** 6
     assert core.classify_prefix(y) == 2
-    out = core.reduce_interval(2, 4)
-    assert out.value() == -3
-    assert out.value() == brute.newman_interval(3, 0, y, y + 16)
-
-
-def test_reduce_interval_rejects_bad_args():
-    with pytest.raises(ValueError):
-        core.reduce_interval(6, 4)
-    with pytest.raises(ValueError):
-        core.reduce_interval(0, 0)
+    assert _reduced(2, 4) == -3
+    assert _reduced(2, 4) == brute.newman_interval(3, 0, y, y + 16)
 
 
 def test_reduce_interval_exhaustive_small():
@@ -138,8 +135,8 @@ def test_reduce_interval_exhaustive_small():
     for y in range(1, 256):
         low = core.bit_exponents(y)[-1]
         for m in range(1, low):
-            out = core.reduce_interval(core.classify_prefix(y), m)
-            assert out.value() == brute.newman_interval(3, 0, y, y + 2 ** m), (y, m)
+            want = brute.newman_interval(3, 0, y, y + 2 ** m)
+            assert _reduced(core.classify_prefix(y), m) == want, (y, m)
 
 
 def test_boundary_term_examples():
@@ -216,14 +213,6 @@ def test_algorithms_agree(x):
 
 
 @given(st.integers(min_value=0, max_value=1 << 128))
-def test_memoized_recursion_agrees(x):
-    memo = {}
-    plain = core.newman_sum_recursive(x)
-    assert core.newman_sum_recursive(x, memo) == plain
-    assert core.newman_sum_recursive(x, memo) == plain  # warm hit
-
-
-@given(st.integers(min_value=0, max_value=1 << 128))
 def test_trace_terms_sum_to_value(x):
     pairs = core.recursion_trace(x)
     assert sum(3 ** k * c for k, (_, c) in enumerate(pairs)) == core.newman_sum_recursive(x)
@@ -237,7 +226,7 @@ def test_positivity_and_growth_cap(N):
     assert 1 <= s <= N
 
 
-# ------------------------------------------------------------ huge arguments
+# ---------------------------------------------------------------- digit scan
 
 def _fast_recursive(N):
     return core._assemble(core._recursion_digits(N))
@@ -247,16 +236,39 @@ def _fast_decomposition(N):
     return core._assemble(core._decomposition_digits(N))
 
 
+def _horner(digits):
+    """sum of digits[k] * 3^k, lowest digit first."""
+    s = 0
+    for d in reversed(digits):
+        s = 3 * s + d
+    return s
+
+
 # bit length first, uniformly, so that sizes up to 2^14 bits are drawn
 _BY_BIT_LENGTH = st.sampled_from(range(2 ** 14 + 1)).flatmap(
     lambda b: st.integers(1 << b >> 1, (1 << b) - 1))
 
 
+def _around_a_machine_word(test):
+    """Add the lowest, highest and a random N of 63, 64 and 65 bits."""
+    # and an odd N past CPython's 4300-digit int->str limit
+    test = example((1 << 2 ** 14) - 1)(test)
+    for bits in (63, 64, 65):
+        rng = random.Random(bits)
+        for N in (1 << (bits - 1), (1 << bits) - 1,
+                  rng.getrandbits(bits) | 1 << (bits - 1)):
+            test = example(N)(test)
+    return test
+
+
 @settings(max_examples=25)
 @given(_BY_BIT_LENGTH)
-def test_digit_scan_matches_scalar_loops(N):
-    assert _fast_recursive(N) == core._scalar_recursive(N)
-    assert _fast_decomposition(N) == core._scalar_decomposition(N)
+@_around_a_machine_word
+def test_digit_scan_matches_traces(N):
+    want = _horner([c for _, c in core.recursion_trace(N)])
+    assert core.newman_sum_recursive(N) == want
+    assert sum(v for _, v in core.decomposition_terms(N)) == want
+    assert core.newman_sum_decomposition(N) == want
 
 
 def test_digit_scan_small_exhaustive():
@@ -264,18 +276,6 @@ def test_digit_scan_small_exhaustive():
     for N in range(1025):
         assert _fast_recursive(N) == pref[N], N
         assert _fast_decomposition(N) == pref[N], N
-
-
-@pytest.mark.parametrize("bits", [core._FAST_BITS - 1, core._FAST_BITS,
-                                  core._FAST_BITS + 1])
-def test_crossover_boundary(bits):
-    rng = random.Random(bits)
-    for N in (1 << (bits - 1), (1 << bits) - 1, rng.getrandbits(bits) | 1 << (bits - 1)):
-        want = core._scalar_recursive(N)
-        assert core._scalar_decomposition(N) == want
-        assert core.newman_sum_recursive(N) == want
-        assert core.newman_sum_decomposition(N) == want
-        assert core.newman_sum_recursive(N, {}) == want
 
 
 def test_assemble():
@@ -289,7 +289,9 @@ def test_assemble():
 
 def test_fast_paths_at_2_16_bits():
     N = random.Random(16).getrandbits(2 ** 16) | 1 << (2 ** 16 - 1)
-    want = core._scalar_recursive(N)
+    # the recursion level by level, without a 2^15-entry trace list
+    want = _horner([core.recursion_correction(N >> 2 * k)
+                    for k in range((N.bit_length() + 1) // 2)])
     assert core.newman_sum_recursive(N) == want
     assert core.newman_sum_decomposition(N) == want
 
@@ -305,11 +307,10 @@ def test_residue_sum_examples():
 
 
 def test_residue_sum_vs_brute():
-    memo = {}
     for l in (0, 1, 2):
         pref = brute.prefix(3, l, 300)
         for N in range(301):
-            assert core.residue_sum(l, N, memo) == pref[N], (l, N)
+            assert core.residue_sum(l, N) == pref[N], (l, N)
 
 
 def test_six_residue_examples():
@@ -324,13 +325,12 @@ def test_six_residue_examples():
 
 
 def test_six_residue_vs_brute_exhaustive():
-    memo = {}
     prefs = [brute.prefix(6, j, 96) for j in range(6)]
     for x in range(48):
         for y in range(x + 1, 48):
             for j in range(6):
                 want = prefs[j][2 * y] - prefs[j][2 * x]
-                assert core.six_residue_sum(j, x, y, memo) == want, (j, x, y)
+                assert core.six_residue_sum(j, x, y) == want, (j, x, y)
 
 
 def test_scaled_residue_examples():
@@ -351,11 +351,10 @@ def test_scaled_residue_rejects_bad_args():
 
 
 def test_scaled_residue_vs_brute():
-    memo = {}
     for m in range(4):
         for n in range(m + 1, 11):
             for k in (0, 1, 2):
                 for r in range(2 ** m):
                     want = brute.newman(3 * 2 ** m, k * 2 ** m + r, 2 ** n)
-                    got = core.scaled_residue_sum(m, k, r, n, memo)
+                    got = core.scaled_residue_sum(m, k, r, n)
                     assert got == want, (m, k, r, n)

@@ -1,6 +1,6 @@
 import pytest
 
-from newmansum import core, verify
+from newmansum import verify
 
 
 def test_core_checks_clean_run():
@@ -16,18 +16,13 @@ def test_core_checks_trivial_range():
     assert rep.checks >= 1
 
 
-def test_core_checks_catch_injected_fault(monkeypatch):
-    # negative control: corrupt the recursion's correction table
-    good = core.recursion_correction
-
-    def bad(N):
-        return -good(N) if N % 24 == 15 else good(N)
-
-    monkeypatch.setattr(core, "recursion_correction", bad)
+def test_core_checks_catch_injected_fault(corrupt_correction):
+    # negative control: the recursion's correction table is corrupted
     rep = verify.run_core_checks(64)
     assert not rep.ok
     name, witness = rep.failures[0]
     assert witness >= 1
+    assert (name, witness) == ("recursion-vs-oracle", 15)
 
 
 def test_bounds_sweep_small_range():
