@@ -249,26 +249,62 @@ _BY_BIT_LENGTH = st.sampled_from(range(2 ** 14 + 1)).flatmap(
     lambda b: st.integers(1 << b >> 1, (1 << b) - 1))
 
 
-def _around_a_machine_word(test):
-    """Add the lowest, highest and a random N of 63, 64 and 65 bits."""
-    # and an odd N past CPython's 4300-digit int->str limit
-    test = example((1 << 2 ** 14) - 1)(test)
-    for bits in (63, 64, 65):
-        rng = random.Random(bits)
-        for N in (1 << (bits - 1), (1 << bits) - 1,
-                  rng.getrandbits(bits) | 1 << (bits - 1)):
-            test = example(N)(test)
-    return test
+def _scalar_recursive(N):
+    """The recursion one level at a time: the scan's reference."""
+    s = 0
+    w = 1
+    while N:
+        s += w * core.recursion_correction(N)
+        N //= 4
+        w *= 3
+    return s
+
+
+def _scalar_decomposition(x):
+    """The decomposition one set bit at a time: the scan's reference."""
+    total = 0
+    t = 0
+    for i, k in enumerate(core.bit_exponents(x)):
+        if i == 0:
+            total += core.power_sum(k)
+        elif k == 0:
+            total += core.boundary_term(x)
+        else:
+            sign, form, parity = core._REDUCTION_TABLE[t % 6]
+            base = core.power_sum(k) if form == "power" else core.dyadic_sum(parity, k)
+            total += sign * base
+        t += 1 if k % 2 == 0 else -1
+    return total
 
 
 @settings(max_examples=25)
 @given(_BY_BIT_LENGTH)
-@_around_a_machine_word
+def test_digit_scan_matches_scalar_loops(N):
+    assert _fast_recursive(N) == _scalar_recursive(N)
+    assert _fast_decomposition(N) == _scalar_decomposition(N)
+
+
+@settings(max_examples=25)
+@given(_BY_BIT_LENGTH)
+# an odd N past CPython's 4300-digit int->str limit
+@example((1 << 2 ** 14) - 1)
 def test_digit_scan_matches_traces(N):
     want = _horner([c for _, c in core.recursion_trace(N)])
     assert core.newman_sum_recursive(N) == want
     assert sum(v for _, v in core.decomposition_terms(N)) == want
     assert core.newman_sum_decomposition(N) == want
+
+
+@pytest.mark.parametrize("bits", [63, 64, 65])
+def test_crossover_boundary(bits):
+    """Lowest, highest and a random N around a machine word."""
+    rng = random.Random(bits)
+    for N in (1 << (bits - 1), (1 << bits) - 1, rng.getrandbits(bits) | 1 << (bits - 1)):
+        want = _scalar_recursive(N)
+        assert _scalar_decomposition(N) == want
+        assert _horner([c for _, c in core.recursion_trace(N)]) == want
+        assert core.newman_sum_recursive(N) == want
+        assert core.newman_sum_decomposition(N) == want
 
 
 def test_digit_scan_small_exhaustive():
