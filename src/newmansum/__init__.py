@@ -24,12 +24,10 @@ from .oracle import (
     OracleCapError,
     DEFAULT_ORACLE_CAP,
     KERNEL_BACKEND,
-    KERNEL_REASON,
     oracle_cap,
     oracle_sum,
     oracle_interval_sum,
     oracle_prefix,
-    available_kernels,
 )
 from .analysis import (
     LAMBDA,

@@ -2,57 +2,30 @@
 
 Direct O(x) enumeration of (-1)^sigma(n) over a residue class.  This is
 the ground truth every fast evaluator is checked against, so it stays
-deliberately naive; speed comes only from the compiled kernel, never from
-shortcuts in the math.
+deliberately naive: one pure-Python loop over n, with no shortcuts in the
+math.  It takes integers of any size.
 
 A configurable cap (default 2^32, override per call or through the
 ``NEWMANSUM_ORACLE_CAP`` environment variable) refuses enumerations that
 would silently run for hours.
-
-The enumeration kernel is selected at import time: the Cython module
-``newmansum._speedups`` when it was built, else the pure-Python twin
-``newmansum._pykernel``.  Setting ``NEWMANSUM_PURE`` in the environment
-forces the pure kernel.  ``KERNEL_REASON`` says why the compiled kernel
-is not in use (empty when it is).
 """
 
 import os
 from array import array
-from importlib import import_module
-
-from . import _pykernel
-
-KERNEL_REASON = ""
-if os.environ.get("NEWMANSUM_PURE"):
-    KERNEL_REASON = "forced by NEWMANSUM_PURE"
-else:
-    try:
-        _kernel = import_module("._speedups", __package__)
-    except ImportError as exc:
-        KERNEL_REASON = f"compiled kernel not built: {exc}"
-if KERNEL_REASON:
-    _kernel = _pykernel
-KERNEL_BACKEND = "pure" if KERNEL_REASON else "compiled"
 
 __all__ = [
     "OracleCapError",
     "DEFAULT_ORACLE_CAP",
     "KERNEL_BACKEND",
-    "KERNEL_REASON",
     "oracle_cap",
     "oracle_sum",
     "oracle_interval_sum",
     "oracle_prefix",
-    "available_kernels",
 ]
 
+KERNEL_BACKEND = "pure"     # the one enumeration kernel; perfbench records it
 DEFAULT_ORACLE_CAP = 2 ** 32
 _CAP_ENV = "NEWMANSUM_ORACLE_CAP"
-
-# The compiled kernel works on unsigned 64-bit values; anything beyond
-# this goes to the pure kernel (and will have tripped the cap anyway
-# unless the caller raised it deliberately).
-_KERNEL_LIMIT = 2 ** 62
 
 
 class OracleCapError(ValueError):
@@ -89,8 +62,26 @@ def _check_cap(bound, cap):
             f"oracle cap: enumerating up to {bound} exceeds the cap of {cap}")
 
 
-def _pick(bound):
-    return _kernel if bound < _KERNEL_LIMIT else _pykernel
+def _range_sum(modulus, residue, start, stop):
+    """Sum of (-1)^popcount(n) over start <= n < stop with n % modulus == residue."""
+    if stop <= start:
+        return 0
+    first = start + (residue - start) % modulus
+    total = 0
+    for n in range(first, stop, modulus):
+        total += 1 - 2 * (n.bit_count() & 1)
+    return total
+
+
+def _prefix_sums(modulus, residue, limit):
+    """array('q') holding S_{modulus,residue}(x) for every x = 0..limit."""
+    out = array("q", [0]) * (limit + 1)
+    s = 0
+    for n in range(limit):
+        if n % modulus == residue:
+            s += 1 - 2 * (n.bit_count() & 1)
+        out[n + 1] = s
+    return out
 
 
 def oracle_sum(modulus: int, residue: int, x: int, cap: int | None = None) -> int:
@@ -99,7 +90,7 @@ def oracle_sum(modulus: int, residue: int, x: int, cap: int | None = None) -> in
     if x < 0:
         raise ValueError("x must be >= 0")
     _check_cap(x, cap)
-    return _pick(x).range_sum(modulus, residue, 0, x)
+    return _range_sum(modulus, residue, 0, x)
 
 
 def oracle_interval_sum(modulus: int, residue: int, start: int, stop: int,
@@ -109,7 +100,7 @@ def oracle_interval_sum(modulus: int, residue: int, start: int, stop: int,
     if not 0 <= start <= stop:
         raise ValueError("need 0 <= start <= stop")
     _check_cap(stop, cap)
-    return _pick(stop).range_sum(modulus, residue, start, stop)
+    return _range_sum(modulus, residue, start, stop)
 
 
 def oracle_prefix(modulus: int, residue: int, limit: int,
@@ -123,15 +114,4 @@ def oracle_prefix(modulus: int, residue: int, limit: int,
     if limit < 0:
         raise ValueError("limit must be >= 0")
     _check_cap(limit, cap)
-    return _pick(limit).prefix_sums(modulus, residue, limit)
-
-
-def available_kernels() -> dict:
-    """Importable kernels by name; 'compiled' is absent when not built."""
-    kernels = {"pure": _pykernel}
-    try:
-        from . import _speedups
-        kernels["compiled"] = _speedups
-    except ImportError:
-        pass
-    return kernels
+    return _prefix_sums(modulus, residue, limit)

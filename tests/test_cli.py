@@ -1,3 +1,4 @@
+import os
 import random
 import subprocess
 import sys
@@ -5,7 +6,8 @@ from decimal import Decimal
 
 import pytest
 
-from newmansum import cli, core, oracle
+import newmansum
+from newmansum import cli, core
 
 
 def invoke(argv, capsys):
@@ -292,12 +294,6 @@ def test_bench_runs(capsys):
     code, out, _ = invoke(["bench", "--exponents", "4,20,64"], capsys)
     assert code == 0
     lines = out.splitlines()
-    assert lines[0].startswith("oracle kernel: ")
-    if oracle.KERNEL_BACKEND == "pure":
-        assert lines[0] == f"oracle kernel: pure ({oracle.KERNEL_REASON})"
-        assert oracle.KERNEL_REASON
-    else:
-        assert lines[0] == "oracle kernel: compiled"
     assert any(line.startswith("N=2^20:") for line in lines)
     assert any("oracle n/a (over cap)" in line for line in lines if "2^64" in line)
     assert any(line.startswith("prefix scan to ") for line in lines)
@@ -305,10 +301,20 @@ def test_bench_runs(capsys):
 
 # ---------------------------------------------------------------- packaging
 
+def _package_env():
+    """The environment with the imported package's directory first on
+    PYTHONPATH, so that a ``python -m newmansum`` child runs the code
+    under test."""
+    path = [os.path.dirname(newmansum.__path__[0])]
+    if os.environ.get("PYTHONPATH"):
+        path.append(os.environ["PYTHONPATH"])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+
+
 def test_module_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "newmansum", "eval", "19"],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=_package_env())
     assert proc.returncode == 0
     assert proc.stdout == "7\n"
 
@@ -318,7 +324,7 @@ def test_closed_stdout_exits_2_without_traceback():
     # is still printing when the reader goes away after the first line
     proc = subprocess.Popen(
         [sys.executable, "-m", "newmansum", "eta", "--max", "20001"],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_package_env())
     first = proc.stdout.readline()
     proc.stdout.close()
     err = proc.stderr.read()
@@ -327,15 +333,3 @@ def test_closed_stdout_exits_2_without_traceback():
     assert first.split() == [b"x", b"defined", b"derived", b"half", b"status"]
     assert err == b""
 
-
-def test_pure_python_fallback_selectable():
-    import os
-
-    proc = subprocess.run(
-        [sys.executable, "-c",
-         "from newmansum import oracle; print(oracle.KERNEL_BACKEND); "
-         "print(oracle.KERNEL_REASON); print(oracle.oracle_sum(3, 0, 500000))"],
-        capture_output=True, text=True,
-        env=dict(os.environ, NEWMANSUM_PURE="1"))
-    assert proc.returncode == 0
-    assert proc.stdout.splitlines() == ["pure", "forced by NEWMANSUM_PURE", "18261"]

@@ -1,3 +1,6 @@
+import tracemalloc
+from array import array
+
 import pytest
 
 import brute
@@ -5,8 +8,7 @@ from newmansum import oracle
 
 
 def test_backend_is_reported():
-    assert oracle.KERNEL_BACKEND in ("compiled", "pure")
-    assert "pure" in oracle.available_kernels()
+    assert oracle.KERNEL_BACKEND == "pure"
 
 
 def test_oracle_sum_examples():
@@ -71,25 +73,31 @@ def test_cap_env_override(monkeypatch):
     assert oracle.oracle_cap() == oracle.DEFAULT_ORACLE_CAP
 
 
-@pytest.mark.parametrize("name", sorted(oracle.available_kernels()))
-def test_kernels_match_brute(name):
-    kernel = oracle.available_kernels()[name]
+def test_kernels_match_brute():
     for m, l in [(1, 0), (3, 0), (3, 1), (7, 4), (48, 31)]:
         for a, b in [(0, 0), (0, 513), (100, 612), (511, 517)]:
-            assert kernel.range_sum(m, l, a, b) == brute.newman_interval(m, l, a, b)
-        pref = kernel.prefix_sums(m, l, 300)
+            assert oracle.oracle_interval_sum(m, l, a, b) == brute.newman_interval(m, l, a, b)
+        pref = oracle.oracle_prefix(m, l, 300)
         assert list(pref) == brute.prefix(m, l, 300)
 
 
 def test_kernels_agree_with_each_other():
-    kernels = oracle.available_kernels()
-    if "compiled" not in kernels:
-        pytest.skip("compiled kernel not built")
-    a = kernels["compiled"].prefix_sums(3, 0, 50000)
-    b = kernels["pure"].prefix_sums(3, 0, 50000)
-    assert list(a) == list(b)
-    assert (kernels["compiled"].range_sum(5, 2, 12345, 99999)
-            == kernels["pure"].range_sum(5, 2, 12345, 99999))
+    assert list(oracle.oracle_prefix(3, 0, 50000)) == brute.prefix(3, 0, 50000)
+    assert (oracle.oracle_interval_sum(5, 2, 12345, 99999)
+            == brute.newman_interval(5, 2, 12345, 99999))
+
+
+def test_prefix_peak_memory_near_output_size():
+    limit = 10 ** 5
+    tracemalloc.start()
+    try:
+        pref = oracle.oracle_prefix(3, 0, limit)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert isinstance(pref, array) and pref.typecode == "q"
+    assert len(pref) == limit + 1
+    assert peak < 1.25 * 8 * (limit + 1)
 
 
 def test_pure_kernel_handles_beyond_word_range():
