@@ -2,12 +2,22 @@
 sequences, and the half-integer consistency check for Coquet's correction
 term.
 
-Everything involving the growth exponent lam = ln3/ln4 is evaluated with
-mpmath at 40 significant digits.  Floor/ceil results whose argument lands
-within the near-integer guard are recomputed at doubled precision and
-snapped when genuinely integral; the extremal families (N = 6*4^k for the
-lower bound, N = 260*4^k for the upper) sit exactly on integer boundaries,
-so naive rounding there would be off by one.
+The public functions of the growth exponent lam = ln3/ln4 (``delta``,
+``lower_bound``, ``upper_bound``, ``coquet_ratio`` and the constants) are
+evaluated with mpmath at 40 significant digits.  Floor/ceil results whose
+argument lands within the near-integer guard are recomputed at doubled
+precision and snapped when genuinely integral; the extremal families
+(N = 6*4^k for the lower bound, N = 260*4^k for the upper) sit exactly on
+integer boundaries, so naive rounding there would be off by one.
+
+Sweeps go through one float evaluator, ``_bounds``, shared by
+``delta_record`` (so ``scan``) and ``verify.bounds_sweep``.  For
+N <= 10^9 it takes the float power N**LAMBDA once and derives both bounds
+and delta = S/N^lam from it.  A bound escalates to the exact function only
+when its float lies within 1e-6 of an integer, and delta's 12-digit text
+escalates to ``format_significant(delta(N, S), 12)`` only when the float
+could round differently from the exact value.  Past 10^9 every value is
+exact.
 
 The sharp constants are never hard-coded as decimals; they are evaluated
 on demand from their closed forms:
@@ -55,6 +65,19 @@ _GUARD = 1e-9      # distance to an integer that triggers recomputation
 
 #: Float approximation of the growth exponent ln3/ln4.
 LAMBDA = math.log(3) / math.log(4)
+
+# The float fast path of _bounds.  For 1 <= N <= _FAST_MAX the float
+# N**LAMBDA is within 1.4e-15 relative of N^lam (LAMBDA is 5.8e-17 above
+# lam, ln(10^9) < 21, plus pow's rounding), and the constants and the
+# products or the quotient add under 4e-16 more.  So both bounds, below
+# 10^7 there, are within 2e-8 of their exact values, far inside
+# _BOUND_MARGIN, and S/p is within 2e-15 relative of delta, inside
+# _DELTA_ERR.
+_FAST_MAX = 10 ** 9
+_BOUND_MARGIN = 1e-6
+_DELTA_ERR = 1e-14
+_C_LO = 2 / 6 ** LAMBDA           # lower bound argument = _C_LO * N^lam
+_C_HI = 55 / 3 / 65 ** LAMBDA     # upper bound argument = _C_HI * N^lam
 
 
 def growth_exponent():
@@ -159,6 +182,7 @@ def coquet_ratio(x: int, S3x: int | None = None):
 
 def newman_inequality_check(x: int) -> bool:
     """Whether 1/20 < S_{3,0}(x) * x^(-lam) < 5 (Newman's inequality)."""
+    x = index(x)
     if x < 1:
         raise ValueError("newman_inequality_check needs x >= 1")
     r = delta(x)
@@ -169,6 +193,7 @@ def newman_inequality_check(x: int) -> bool:
 def eta_defined(x: int) -> int:
     """Coquet's piecewise correction term: 0 for even x, the Thue-Morse
     sign of 3x-3 for odd x."""
+    x = index(x)
     if x < 1:
         raise ValueError("eta_defined needs x >= 1")
     if x % 2 == 0:
@@ -200,15 +225,55 @@ def eta_half(k: int) -> int:
             + 3 * thue_morse_sign(3 * k))
 
 
+def _bounds(N: int):
+    """(lower, upper, p) for N >= 1: ``lower_bound(N)``, ``upper_bound(N)``
+    (None for N < 2) and the float N**LAMBDA they were derived from, or
+    p = None past _FAST_MAX, where both bounds are the exact functions'."""
+    if N > _FAST_MAX:
+        return lower_bound(N), (upper_bound(N) if N >= 2 else None), None
+    p = N ** LAMBDA
+    v = _C_LO * p
+    lo = math.floor(v)
+    if not _BOUND_MARGIN < v - lo < 1 - _BOUND_MARGIN:
+        lo = lower_bound(N)
+    hi = None
+    if N >= 2:
+        v = _C_HI * p
+        hi = math.ceil(v)
+        if not _BOUND_MARGIN < hi - v < 1 - _BOUND_MARGIN:
+            hi = upper_bound(N)
+    return lo, hi, p
+
+
+def _delta_text(d: float) -> str | None:
+    """``format_significant(delta, 12)`` from a float d within _DELTA_ERR
+    relative of delta, or None where d cannot tell.
+
+    Rounding is monotone, so if both ends of d's error interval print
+    alike, delta prints so too.  '%.12g' and ``mp.nstr`` differ only in
+    the form of integral values ('1' against '1.0') and of exponents, so
+    those go to the exact path as well.
+    """
+    text = "%.12g" % d
+    if ("." in text and "e" not in text
+            and "%.12g" % (d * (1 - _DELTA_ERR)) == text == "%.12g" % (d * (1 + _DELTA_ERR))):
+        return text
+    return None
+
+
 @dataclass
 class DeltaRecord:
-    """One scan row: N, S = S_{3,0}(N), delta = S/N^lam, the two sharp
-    bounds (upper is None for N < 2 where it is not defined), and whether
-    S sits inside them."""
+    """One scan row: N, S = S_{3,0}(N), delta = S/N^lam, delta's text to
+    12 significant digits, the two sharp bounds (upper is None for N < 2
+    where it is not defined), and whether S sits inside them.
+
+    delta is a float within 1e-14 relative for N <= 10^9 and an mpf past
+    that; delta_text is exact at every N."""
 
     N: int
     S: int
-    delta: object  # mpf
+    delta: object  # float or mpf
+    delta_text: str
     lower: int
     upper: int | None
     in_bounds: bool
@@ -221,11 +286,15 @@ def delta_record(N: int, S: int | None = None) -> DeltaRecord:
         raise ValueError("delta_record needs N >= 1")
     if S is None:
         S = newman_sum_recursive(N)
-    d = delta(N, S)
-    lo = lower_bound(N)
-    hi = upper_bound(N) if N >= 2 else None
+    lo, hi, p = _bounds(N)
+    if p is None:
+        d = delta(N, S)
+        text = format_significant(d, 12)
+    else:
+        d = S / p
+        text = _delta_text(d) or format_significant(delta(N, S), 12)
     ok = lo <= S and (hi is None or S <= hi)
-    return DeltaRecord(N, S, d, lo, hi, ok)
+    return DeltaRecord(N, S, d, text, lo, hi, ok)
 
 
 def extremal_sequences(n_max: int) -> list:

@@ -147,7 +147,7 @@ _CSV_HEADER = "N,S,delta,lower,upper,in_bounds"
 def _csv_row(rec) -> str:
     upper = "" if rec.upper is None else str(rec.upper)
     flag = "true" if rec.in_bounds else "false"
-    return (f"{rec.N},{rec.S},{analysis.format_significant(rec.delta, 12)},"
+    return (f"{rec.N},{rec.S},{rec.delta_text},"
             f"{rec.lower},{upper},{flag}")
 
 

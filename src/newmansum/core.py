@@ -354,10 +354,13 @@ _LIMB_POWERS = tuple(81 ** i for i in range(_LIMB))
 def _assemble(digits) -> int:
     """sum of digits[i] * 81^i, lowest digit first.
 
-    Sums _LIMB digits at a time into small limbs, then merges adjacent
+    Sums _LIMB digits at a time into small limbs (at most _LIMB digits
+    are one limb, returned as it is), then merges adjacent
     limbs pairwise (lo + hi * B) with B squared at each level, so the cost
     is that of a few big-integer products rather than one per digit.
     """
+    if len(digits) <= _LIMB:
+        return sum(map(mul, digits, _LIMB_POWERS))
     limbs = [sum(map(mul, digits[i:i + _LIMB], _LIMB_POWERS))
              for i in range(0, len(digits), _LIMB)]
     base = 81 ** _LIMB
@@ -367,7 +370,7 @@ def _assemble(digits) -> int:
         limbs = [lo + hi * base for lo, hi in zip(limbs[::2], limbs[1::2])]
         if len(limbs) > 1:
             base *= base
-    return limbs[0] if limbs else 0
+    return limbs[0]
 
 
 @cache

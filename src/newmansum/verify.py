@@ -9,11 +9,15 @@ identities, and the residue-class combinations.
 
 ``bounds_sweep`` checks the sharp bounds floor(2*(N/6)^lam) <= S_{3,0}(N)
 <= ceil((55/3)*(N/65)^lam) and Newman's inequality over a full range.
-Bound values come from a float fast path whose error (< 1e-10 for N up to
-10^9) is far below the 1e-6 escalation margin; any N whose bound argument
-lands near an integer is recomputed with the exact high-precision
-functions from :mod:`newmansum.analysis`, so the sweep is exact while
-staying O(1) per N.
+Both bounds are nondecreasing in N, so the sweep walks their value runs
+rather than every N.  The end of each run is guessed by inverting the
+float formula and confirmed at N-1 and N with the float evaluator of
+:mod:`newmansum.analysis`, which escalates to the exact bound functions
+near an integer.  A run is checked by the minimum and maximum of its S
+values, and read entry by entry only when one of them touches or crosses
+a bound, which is where violations and attainments are recorded.
+Newman's inequality is checked per run the same way, from the run's
+extremes against its end points.
 """
 
 import math
@@ -111,11 +115,55 @@ class BoundsReport:
         return not self.bound_violations and not self.newman_violations
 
 
-# Escalation margin for the float fast path.  libm pow keeps the bound
-# expressions within ~1e-10 of the true value for every N this sweep can
-# reach, so a value further than 1e-6 from an integer rounds identically
-# to the exact computation.
-_FLOAT_MARGIN = 1e-6
+def _run_end(start: int, stop: int, which: int, value: int, guess: float) -> int:
+    """The first N in (start, stop) where bound ``which`` (0 lower, 1
+    upper) of ``analysis._bounds`` exceeds ``value``, else stop.  The
+    bound is nondecreasing, so the guess only moves the search's start."""
+    N = min(max(math.ceil(guess), start + 1), stop)
+    while N < stop and analysis._bounds(N)[which] <= value:
+        N += 1
+    while N - 1 > start and analysis._bounds(N - 1)[which] > value:
+        N -= 1
+    return N
+
+
+def _runs(stop: int):
+    """Yield (a, b, lower, upper) for runs [a, b) covering 1 <= N < stop
+    on which both bounds are constant, in ascending order.
+
+    N = 1 is a run of its own, having no upper bound.  Both bounds grow by
+    less than 1 per step in N (their slopes are below 0.5 for N >= 1), so
+    each run's bound is the last one's plus 1.  Run ends come from
+    inverting the bounds' formulas: lower >= k from N = 6(k/2)^(1/lam),
+    upper > k from N > 65(3k/55)^(1/lam).
+    """
+    lo, hi, _ = analysis._bounds(1)
+    yield 1, 2, lo, hi
+    lo, hi, _ = analysis._bounds(2)
+    inv = 1 / analysis.LAMBDA
+    a = lo_end = hi_end = 2
+    while a < stop:
+        if a == lo_end:
+            lo_end = _run_end(a, stop, 0, lo, 6 * ((lo + 1) / 2) ** inv)
+        if a == hi_end:
+            hi_end = _run_end(a, stop, 1, hi, 65 * (3 * hi / 55) ** inv)
+        b = min(lo_end, hi_end)
+        yield a, b, lo, hi
+        if b == lo_end:
+            lo += 1
+        if b == hi_end:
+            hi += 1
+        a = b
+
+
+def _spot_check(rep: BoundsReport, N: int, S: int, lo: int, hi) -> None:
+    """Cross-check S against the recursion and the run's bounds against
+    the exact bound functions."""
+    rep.checks += 2
+    if core.newman_sum_recursive(N) != S:
+        rep.bound_violations.append((N, S, "recursion-mismatch", None))
+    if analysis.lower_bound(N) != lo or (hi is not None and analysis.upper_bound(N) != hi):
+        rep.bound_violations.append((N, S, "fast-path-mismatch", None))
 
 
 def bounds_sweep(max_n: int, prefix=None, cap: int | None = None,
@@ -125,7 +173,7 @@ def bounds_sweep(max_n: int, prefix=None, cap: int | None = None,
     S values come from the enumeration oracle (pass ``prefix`` to reuse an
     existing ``oracle_prefix(3, 0, max_n)`` array); every spot_step-th N
     additionally cross-checks the recursion and the exact bound functions
-    against the fast path.
+    against the run walk.
     """
     if max_n < 2:
         raise ValueError("bounds_sweep needs max_n >= 2")
@@ -133,47 +181,32 @@ def bounds_sweep(max_n: int, prefix=None, cap: int | None = None,
         prefix = oracle.oracle_prefix(3, 0, max_n, cap)
     lam = analysis.LAMBDA
     rep = BoundsReport(max_n)
-
-    for N in range(1, max_n + 1):
-        S = prefix[N]
-
-        v = 2.0 * (N / 6.0) ** lam
-        if abs(v - round(v)) > _FLOAT_MARGIN:
-            lo = math.floor(v)
+    for a, b, lo, hi in _runs(max_n + 1):
+        run = prefix[a:b]
+        low, high = min(run), max(run)
+        rep.checks += 2 * (b - a)
+        if hi is None or low <= lo or high >= hi:
+            for N in range(a, b):
+                S = prefix[N]
+                if S < lo or (hi is not None and S > hi):
+                    rep.bound_violations.append((N, S, lo, hi))
+                if hi is not None:      # attainment is recorded from N = 2
+                    if S == lo:
+                        rep.lower_attained.append(N)
+                    if S == hi:
+                        rep.upper_attained.append(N)
+                if N % spot_step == 0:
+                    _spot_check(rep, N, S, lo, hi)
         else:
-            lo = analysis.lower_bound(N)
-
-        if N >= 2:
-            v = (55.0 / 3.0) * (N / 65.0) ** lam
-            if abs(v - round(v)) > _FLOAT_MARGIN:
-                hi = math.ceil(v)
-            else:
-                hi = analysis.upper_bound(N)
-        else:
-            hi = None
-
-        rep.checks += 1
-        if S < lo or (hi is not None and S > hi):
-            rep.bound_violations.append((N, S, lo, hi))
-        if N >= 2:
-            if S == lo:
-                rep.lower_attained.append(N)
-            if S == hi:
-                rep.upper_attained.append(N)
+            for N in range(a + -a % spot_step, b, spot_step):
+                _spot_check(rep, N, prefix[N], lo, hi)
 
         # Newman's inequality 1/20 < S * N^-lam < 5; the ratio never comes
-        # within 0.3 of either endpoint, so float precision is ample.
-        rep.checks += 1
-        ratio = S / N ** lam
-        if not 0.05 < ratio < 5.0:
-            rep.newman_violations.append(N)
-
-        if N % spot_step == 0:
-            rep.checks += 1
-            if core.newman_sum_recursive(N) != S:
-                rep.bound_violations.append((N, S, "recursion-mismatch", None))
-            rep.checks += 1
-            if analysis.lower_bound(N) != lo or (hi is not None and analysis.upper_bound(N) != hi):
-                rep.bound_violations.append((N, S, "fast-path-mismatch", None))
+        # within 0.3 of either endpoint, so float precision is ample, and
+        # the run's extremes over its end points bound every ratio in it.
+        if not (low / (b - 1) ** lam > 0.05 and high / a ** lam < 5.0):
+            for N in range(a, b):
+                if not 0.05 < prefix[N] / N ** lam < 5.0:
+                    rep.newman_violations.append(N)
 
     return rep

@@ -156,6 +156,7 @@ def test_delta_record_and_scan():
 
     (rec,) = analysis.scan(1, 2, 1)
     assert rec.delta == 1
+    assert rec.delta_text == "1.0"
     assert rec.upper is None and rec.lower == 0 and rec.in_bounds
 
     with pytest.raises(ValueError):
@@ -164,6 +165,47 @@ def test_delta_record_and_scan():
         list(analysis.scan(5, 5, 1))
     with pytest.raises(ValueError):
         list(analysis.scan(2, 5, 0))
+
+
+def _exact_row(N):
+    """A scan row from the exact functions alone: the reference for the
+    float evaluator behind delta_record."""
+    S = core.newman_sum_recursive(N)
+    d = analysis.delta(N, S)
+    return d, (N, S, analysis.format_significant(d, 12),
+               analysis.lower_bound(N), analysis.upper_bound(N) if N >= 2 else None)
+
+
+@pytest.mark.parametrize("start, stop, step", [
+    (1, 5003, 1),
+    (1, 20003, 7),
+    (10 ** 9 - 3, 10 ** 9 + 4, 1),     # across the float path's limit
+])
+def test_scan_rows_match_exact_functions(start, stop, step):
+    for rec in analysis.scan(start, stop, step):
+        d, row = _exact_row(rec.N)
+        assert (rec.N, rec.S, rec.delta_text, rec.lower, rec.upper) == row
+        assert rec.in_bounds == (rec.lower <= rec.S
+                                 and (rec.upper is None or rec.S <= rec.upper))
+        assert abs(rec.delta / d - 1) < 1e-14
+
+
+def test_extremal_families_escalate_to_exact_bounds(monkeypatch):
+    # 2(N/6)^lam = 2*3^k at N = 6*4^k and (55/3)(N/65)^lam = 55*3^k at
+    # N = 260*4^k are integers, so a float floor or ceil there could be off
+    # by one; the evaluator must hand both to the exact functions.
+    calls = []
+    for name in ("lower_bound", "upper_bound"):
+        exact = getattr(analysis, name)
+        monkeypatch.setattr(analysis, name,
+                            lambda N, exact=exact, name=name: calls.append((name, N)) or exact(N))
+    for k in range(16):
+        for N, name in ((6 * 4 ** k, "lower_bound"), (260 * 4 ** k, "upper_bound")):
+            calls.clear()
+            rec = analysis.delta_record(N)
+            assert (name, N) in calls
+            assert (rec.N, rec.S, rec.delta_text, rec.lower, rec.upper) == _exact_row(N)[1]
+            assert rec.S == (rec.lower if name == "lower_bound" else rec.upper)
 
 
 def test_extremal_sequences():
@@ -210,3 +252,5 @@ def test_numpy_integers_accepted():
     assert analysis.delta_record(np.int64(260)) == analysis.delta_record(260)
     assert analysis.eta_derived(np.int64(big)) == analysis.eta_derived(big)
     assert analysis.eta_half(np.int64(big)) == analysis.eta_half(big)
+    assert analysis.eta_defined(np.int64(big)) == analysis.eta_defined(big)
+    assert analysis.newman_inequality_check(np.int64(big)) == analysis.newman_inequality_check(big)

@@ -318,7 +318,7 @@ def test_assemble():
     assert core._assemble([]) == 0
     assert core._assemble([2, -1, 0, 4]) == 2 - 81 + 4 * 81 ** 3
     rng = random.Random(7)
-    for n in (1, core._LIMB - 1, core._LIMB, core._LIMB + 1, 5 * core._LIMB + 3, 1000):
+    for n in (0, 1, core._LIMB - 1, core._LIMB, core._LIMB + 1, 5 * core._LIMB + 3, 1000):
         digits = [rng.randint(-121, 121) for _ in range(n)]
         assert core._assemble(digits) == sum(d * 81 ** i for i, d in enumerate(digits))
 

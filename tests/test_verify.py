@@ -1,6 +1,8 @@
+import math
+
 import pytest
 
-from newmansum import verify
+from newmansum import analysis, core, oracle, verify
 
 
 def test_core_checks_clean_run():
@@ -45,3 +47,101 @@ def test_bounds_sweep_catches_injected_fault():
     rep = verify.bounds_sweep(100, prefix=pref)
     assert not rep.ok
     assert rep.bound_violations[0][0] == 50
+
+
+def _per_n_sweep(max_n, prefix, spot_step=9973):
+    """The sweep as a loop over every N with its own float bounds: the
+    reference for bounds_sweep's run walk."""
+    lam = analysis.LAMBDA
+    rep = verify.BoundsReport(max_n)
+    for N in range(1, max_n + 1):
+        S = prefix[N]
+        v = 2.0 * (N / 6.0) ** lam
+        lo = math.floor(v) if abs(v - round(v)) > 1e-6 else analysis.lower_bound(N)
+        if N >= 2:
+            v = (55.0 / 3.0) * (N / 65.0) ** lam
+            hi = math.ceil(v) if abs(v - round(v)) > 1e-6 else analysis.upper_bound(N)
+        else:
+            hi = None
+        rep.checks += 1
+        if S < lo or (hi is not None and S > hi):
+            rep.bound_violations.append((N, S, lo, hi))
+        if N >= 2:
+            if S == lo:
+                rep.lower_attained.append(N)
+            if S == hi:
+                rep.upper_attained.append(N)
+        rep.checks += 1
+        if not 0.05 < S / N ** lam < 5.0:
+            rep.newman_violations.append(N)
+        if N % spot_step == 0:
+            rep.checks += 1
+            if core.newman_sum_recursive(N) != S:
+                rep.bound_violations.append((N, S, "recursion-mismatch", None))
+            rep.checks += 1
+            if (analysis.lower_bound(N) != lo
+                    or (hi is not None and analysis.upper_bound(N) != hi)):
+                rep.bound_violations.append((N, S, "fast-path-mismatch", None))
+    return rep
+
+
+@pytest.mark.parametrize("max_n", [2, 3, 4, 1100, 10 ** 5])
+def test_run_walk_matches_per_n_loop(max_n):
+    prefix = oracle.oracle_prefix(3, 0, max_n)
+    rep = verify.bounds_sweep(max_n, prefix)
+    assert rep == _per_n_sweep(max_n, prefix)
+    assert rep.checks == 2 * max_n + 2 * (max_n // 9973)
+
+
+def test_run_walk_spot_checks_inside_and_outside_scanned_runs():
+    prefix = oracle.oracle_prefix(3, 0, 1100)
+    assert verify.bounds_sweep(1100, prefix, spot_step=7) == _per_n_sweep(1100, prefix, 7)
+
+
+@pytest.mark.parametrize("which", [0, 1])
+def test_run_end_confirms_any_guess(which):
+    starts = 0
+    for N in range(3, 1101):
+        value = analysis._bounds(N - 1)[which]
+        if analysis._bounds(N)[which] > value:      # a run starts at N
+            starts += 1
+            for guess in (N - 2, N, N + 0.5, N + 3):
+                assert verify._run_end(N - 1, 1101, which, value, guess) == N
+            assert verify._run_end(N - 1, N, which, value, N + 3) == N   # stop
+    assert starts > 100
+
+
+def _lower_run_start(lo, hi):
+    """The first N in (lo, hi] where the lower bound steps up."""
+    return next(N for N in range(lo + 1, hi + 1)
+                if analysis.lower_bound(N) > analysis.lower_bound(N - 1))
+
+
+@pytest.mark.parametrize("where", ["run-first", "run-last", "upper", "newman-only", "zero"])
+def test_run_walk_reports_injected_faults(where):
+    prefix = list(oracle.oracle_prefix(3, 0, 1000))
+    start = _lower_run_start(500, 1000)
+    if where == "run-first":
+        N, S = start, analysis.lower_bound(start) - 1
+    elif where == "run-last":
+        N = _lower_run_start(start, 1000) - 1
+        S = analysis.lower_bound(N) - 1
+    elif where == "upper":
+        N = start + 1
+        S = analysis.upper_bound(N) + 1
+    elif where == "newman-only":
+        N, S = 2, 0          # S = 0 is on the lower bound at N = 2, ratio 0
+    else:
+        N, S = 700, 0
+    prefix[N] = S
+    rep = verify.bounds_sweep(1000, prefix)
+    assert rep == _per_n_sweep(1000, prefix)
+    lo = analysis.lower_bound(N)
+    hi = analysis.upper_bound(N)
+    if where == "newman-only":
+        assert rep.bound_violations == []
+        assert 2 in rep.lower_attained
+    else:
+        assert rep.bound_violations == [(N, S, lo, hi)]
+    assert rep.newman_violations == ([N] if where in ("newman-only", "zero") else [])
+    assert not rep.ok
