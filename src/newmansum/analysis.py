@@ -4,11 +4,12 @@ term.
 
 The public functions of the growth exponent lam = ln3/ln4 (``delta``,
 ``lower_bound``, ``upper_bound``, ``coquet_ratio`` and the constants) are
-evaluated with mpmath at 40 significant digits.  Floor/ceil results whose
-argument lands within the near-integer guard are recomputed at doubled
-precision and snapped when genuinely integral; the extremal families
-(N = 6*4^k for the lower bound, N = 260*4^k for the upper) sit exactly on
-integer boundaries, so naive rounding there would be off by one.
+evaluated with mpmath at 40 significant digits.  The exact bounds are
+evaluated once, at 80 digits past the value's integer part, and a value
+within 1e-20 of an integer is snapped to it before floor or ceil; the
+extremal families (N = 6*4^k for the lower bound, N = 260*4^k for the
+upper) sit exactly on integer boundaries, so naive rounding there would
+be off by one.
 
 Sweeps go through one float evaluator, ``_bounds``, shared by
 ``delta_record`` (so ``scan``) and ``verify.bounds_sweep``.  For
@@ -61,7 +62,6 @@ __all__ = [
 ]
 
 _DPS = 40          # working precision, comfortably past the required 30
-_GUARD = 1e-9      # distance to an integer that triggers recomputation
 
 #: Float approximation of the growth exponent ln3/ln4.
 LAMBDA = math.log(3) / math.log(4)
@@ -87,7 +87,7 @@ def growth_exponent():
 
 
 def _lam():
-    # at ambient precision, so guarded recomputation sharpens it too
+    # at ambient precision, so the exact bounds' wider precision sharpens it too
     return mp.ln(3) / mp.ln(4)
 
 
@@ -115,23 +115,15 @@ def ratio_limsup():
         return mp.mpf(55) / 3 * (mp.mpf(3) / 65) ** _lam()
 
 
-def _guarded_round(expr, rounder):
-    """floor/ceil of expr() with the near-integer escape hatch.
+def _exact_round(N: int, num: int, den: int, base: int, rounder) -> int:
+    """floor or ceil of (num/den)*(N/base)^lam, snapping a value within
+    1e-20 of an integer to it.
 
-    expr is recomputed at whatever precision is ambient.  The guard is
-    widened proportionally for huge values, where a fixed 1e-9 would fall
-    below the representation error itself; the recomputation precision
-    scales with the value's magnitude so the fractional part is always
-    resolved to 40 digits before rounding or snapping.
+    The precision is 2*_DPS digits past the value's integer part, which
+    is at most lam*log10(N) + 1 digits (0.2386 ~ lam*log10(2)).
     """
-    with mp.workdps(_DPS):
-        v = expr()
-        guard = max(mp.mpf(_GUARD), abs(v) * mp.mpf(10) ** (-(_DPS - 15)))
-        if abs(v - mp.nint(v)) >= guard:
-            return int(rounder(v))
-        int_digits = max(0, int(mp.mag(v) * 0.30103) + 1)
-    with mp.workdps(2 * _DPS + int_digits):
-        v = expr()
+    with mp.workdps(2 * _DPS + int(0.2386 * N.bit_length()) + 2):
+        v = num * (mp.mpf(N) / base) ** _lam() / den
         if abs(v - mp.nint(v)) < mp.mpf(10) ** (-20):
             return int(mp.nint(v))
         return int(rounder(v))
@@ -157,7 +149,7 @@ def lower_bound(N: int) -> int:
     N = index(N)
     if N < 1:
         raise ValueError("lower_bound needs N >= 1")
-    return _guarded_round(lambda: 2 * (mp.mpf(N) / 6) ** _lam(), mp.floor)
+    return _exact_round(N, 2, 1, 6, mp.floor)
 
 
 def upper_bound(N: int) -> int:
@@ -165,19 +157,17 @@ def upper_bound(N: int) -> int:
     N = index(N)
     if N < 2:
         raise ValueError("upper_bound needs N >= 2")
-    return _guarded_round(lambda: mp.mpf(55) / 3 * (mp.mpf(N) / 65) ** _lam(), mp.ceil)
+    return _exact_round(N, 55, 3, 65, mp.ceil)
 
 
-def coquet_ratio(x: int, S3x: int | None = None):
+def coquet_ratio(x: int):
     """S_{3,0}(3x) * x^(-lam) for x >= 2; stays inside
     [2/sqrt(3), (55/3)*(3/65)^lam]."""
     x = index(x)
     if x < 2:
         raise ValueError("coquet_ratio needs x >= 2")
-    if S3x is None:
-        S3x = newman_sum_recursive(3 * x)
     with mp.workdps(_DPS):
-        return S3x / mp.mpf(x) ** _lam()
+        return newman_sum_recursive(3 * x) / mp.mpf(x) ** _lam()
 
 
 def newman_inequality_check(x: int) -> bool:
@@ -279,13 +269,12 @@ class DeltaRecord:
     in_bounds: bool
 
 
-def delta_record(N: int, S: int | None = None) -> DeltaRecord:
+def delta_record(N: int) -> DeltaRecord:
     """Assemble the DeltaRecord for one N >= 1."""
     N = index(N)
     if N < 1:
         raise ValueError("delta_record needs N >= 1")
-    if S is None:
-        S = newman_sum_recursive(N)
+    S = newman_sum_recursive(N)
     lo, hi, p = _bounds(N)
     if p is None:
         d = delta(N, S)

@@ -79,14 +79,6 @@ def _sum_line(terms, total) -> str:
     return "".join(parts) + f"={total}"
 
 
-def _residue_value(evaluate, residue, N):
-    if residue == 0:
-        return evaluate(N)
-    if residue == 1:
-        return evaluate(N) - evaluate(2 * N)
-    return evaluate(N) + evaluate(2 * N) - evaluate(4 * N)
-
-
 def _cmd_eval(args) -> int:
     N = args.number
     if args.trace and args.algorithm == "oracle":
@@ -97,16 +89,12 @@ def _cmd_eval(args) -> int:
         print("error: --trace is only available for residue 0", file=sys.stderr)
         return 64
 
-    try:
-        if args.algorithm == "oracle":
-            value = oracle.oracle_sum(3, args.residue, N)
-        elif args.algorithm == "decomposition":
-            value = _residue_value(core.newman_sum_decomposition, args.residue, N)
-        else:
-            value = _residue_value(core.newman_sum_recursive, args.residue, N)
-    except oracle.OracleCapError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    if args.algorithm == "oracle":
+        value = oracle.oracle_sum(3, args.residue, N)
+    elif args.algorithm == "decomposition":
+        value = core.residue_sum(args.residue, N, core.newman_sum_decomposition)
+    else:
+        value = core.residue_sum(args.residue, N, core.newman_sum_recursive)
 
     with _any_length_ints():
         print(value)
@@ -127,11 +115,7 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    try:
-        rep = verify.run_core_checks(args.max)
-    except oracle.OracleCapError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    rep = verify.run_core_checks(args.max)
     print(f"range: 0..{args.max}")
     print(f"{rep.checks} checks, {len(rep.failures)} failures")
     if rep.failures:
@@ -179,11 +163,7 @@ def _cmd_bounds(args) -> int:
     if args.max < 2:
         print("error: --max must be >= 2", file=sys.stderr)
         return 64
-    try:
-        rep = verify.bounds_sweep(args.max)
-    except oracle.OracleCapError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    rep = verify.bounds_sweep(args.max)
     print(f"scanned N in [1, {args.max}]")
     print(f"bound violations: {len(rep.bound_violations)}")
     print(f"newman inequality violations: {len(rep.newman_violations)}")
@@ -219,11 +199,7 @@ def _best_of(fn, repeats: int = 5) -> float:
 
 
 def _cmd_bench(args) -> int:
-    try:
-        cap = oracle.oracle_cap()
-    except oracle.OracleCapError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    cap = oracle.oracle_cap()
     for e in args.exponents:
         N = 2 ** e
         td = _best_of(lambda: core.newman_sum_decomposition(N))
@@ -289,7 +265,11 @@ def _build_parser() -> _Parser:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except oracle.OracleCapError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 def run() -> None:

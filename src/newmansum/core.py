@@ -264,22 +264,24 @@ def recursion_trace(N: int) -> list:
     return pairs
 
 
-def residue_sum(l: int, N: int) -> int:
+def residue_sum(l: int, N: int, evaluate=newman_sum_recursive) -> int:
     """S_{3,l}(N) for l in {0, 1, 2}, via S_{3,0} at N, 2N and 4N:
 
         S_{3,1}(N) = S(N) - S(2N)
         S_{3,2}(N) = S(N) + S(2N) - S(4N)
+
+    S_{3,0} is computed by ``evaluate``, the divide-by-four recursion
+    unless another evaluator such as ``newman_sum_decomposition`` is given.
     """
     N = index(N)
     if N < 0:
         raise ValueError("residue_sum needs N >= 0")
     if l == 0:
-        return newman_sum_recursive(N)
+        return evaluate(N)
     if l == 1:
-        return newman_sum_recursive(N) - newman_sum_recursive(2 * N)
+        return evaluate(N) - evaluate(2 * N)
     if l == 2:
-        return (newman_sum_recursive(N) + newman_sum_recursive(2 * N)
-                - newman_sum_recursive(4 * N))
+        return evaluate(N) + evaluate(2 * N) - evaluate(4 * N)
     raise ValueError("residue must be 0, 1 or 2")
 
 

@@ -43,13 +43,13 @@ class CheckReport:
         return not self.failures
 
 
-def run_core_checks(max_n: int, cap: int | None = None) -> CheckReport:
+def run_core_checks(max_n: int) -> CheckReport:
     """Run the core invariant suite for all arguments up to max_n."""
     if max_n < 0:
         raise ValueError("max_n must be >= 0")
     rep = CheckReport()
 
-    pref3 = oracle.oracle_prefix(3, 0, max_n, cap)
+    pref3 = oracle.oracle_prefix(3, 0, max_n)
 
     # both fast algorithms against the enumeration oracle
     for N in range(max_n + 1):
@@ -64,12 +64,12 @@ def run_core_checks(max_n: int, cap: int | None = None) -> CheckReport:
     # closed forms for the primitive intervals
     n_hi = min(18, max(max_n.bit_length() - 1, 0))
     for m in range(n_hi + 1):
-        want = oracle.oracle_sum(3, 0, 2 ** m, cap)
+        want = oracle.oracle_sum(3, 0, 2 ** m)
         rep.note(core.power_sum(m) == want, "power-closed-form", m)
     for n in range(2, n_hi + 1):
         parity = "even" if n % 2 == 0 else "odd"
         for m in range(1, n):
-            want = oracle.oracle_interval_sum(3, 0, 2 ** n, 2 ** n + 2 ** m, cap)
+            want = oracle.oracle_interval_sum(3, 0, 2 ** n, 2 ** n + 2 ** m)
             rep.note(core.dyadic_sum(parity, m) == want, "dyadic-closed-form", (n, m))
 
     # one-point boundary term for odd arguments
@@ -77,7 +77,7 @@ def run_core_checks(max_n: int, cap: int | None = None) -> CheckReport:
         rep.note(core.boundary_term(N) == pref3[N] - pref3[N - 1], "boundary-term", N)
 
     # the full Thue-Morse sum over an even prefix vanishes
-    pref1 = oracle.oracle_prefix(1, 0, max_n, cap)
+    pref1 = oracle.oracle_prefix(1, 0, max_n)
     for x in range(0, max_n + 1, 2):
         rep.note(pref1[x] == 0, "balance", x)
 
@@ -87,16 +87,15 @@ def run_core_checks(max_n: int, cap: int | None = None) -> CheckReport:
 
     # residue-class combinations against their own enumerations
     cap_r = min(max_n, 4096)
-    if cap_r >= 0:
-        pref31 = oracle.oracle_prefix(3, 1, cap_r, cap)
-        pref32 = oracle.oracle_prefix(3, 2, cap_r, cap)
-        for N in range(cap_r + 1):
-            rep.note(core.residue_sum(1, N) == pref31[N], "residue-one", N)
-            rep.note(core.residue_sum(2, N) == pref32[N], "residue-two", N)
-        for N in range(0, cap_r + 1, 2):
-            total = (core.residue_sum(0, N) + core.residue_sum(1, N)
-                     + core.residue_sum(2, N))
-            rep.note(total == 0, "residue-partition", N)
+    pref31 = oracle.oracle_prefix(3, 1, cap_r)
+    pref32 = oracle.oracle_prefix(3, 2, cap_r)
+    for N in range(cap_r + 1):
+        rep.note(core.residue_sum(1, N) == pref31[N], "residue-one", N)
+        rep.note(core.residue_sum(2, N) == pref32[N], "residue-two", N)
+    for N in range(0, cap_r + 1, 2):
+        total = (core.residue_sum(0, N) + core.residue_sum(1, N)
+                 + core.residue_sum(2, N))
+        rep.note(total == 0, "residue-partition", N)
 
     return rep
 
@@ -166,8 +165,7 @@ def _spot_check(rep: BoundsReport, N: int, S: int, lo: int, hi) -> None:
         rep.bound_violations.append((N, S, "fast-path-mismatch", None))
 
 
-def bounds_sweep(max_n: int, prefix=None, cap: int | None = None,
-                 spot_step: int = 9973) -> BoundsReport:
+def bounds_sweep(max_n: int, prefix=None, spot_step: int = 9973) -> BoundsReport:
     """Verify the sharp bounds and Newman's inequality for 1 <= N <= max_n.
 
     S values come from the enumeration oracle (pass ``prefix`` to reuse an
@@ -178,7 +176,7 @@ def bounds_sweep(max_n: int, prefix=None, cap: int | None = None,
     if max_n < 2:
         raise ValueError("bounds_sweep needs max_n >= 2")
     if prefix is None:
-        prefix = oracle.oracle_prefix(3, 0, max_n, cap)
+        prefix = oracle.oracle_prefix(3, 0, max_n)
     lam = analysis.LAMBDA
     rep = BoundsReport(max_n)
     for a, b, lo, hi in _runs(max_n + 1):

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from mpmath import mp
 
@@ -71,15 +73,41 @@ def test_upper_bound_exact_on_the_limsup_family(k):
     assert analysis.upper_bound(65 * 4 ** k) == 55 * 3 ** (k - 1)
 
 
+def _reference_bound(N, lower):
+    """floor(2*(N/6)^lam) or ceil((55/3)*(N/65)^lam) at 200 digits past
+    the integer part (N has at least as many digits as either value),
+    snapping a value within 1e-20 of an integer to it."""
+    with mp.workdps(200 + len(str(N))):
+        lam = mp.ln(3) / mp.ln(4)
+        if lower:
+            v = 2 * (mp.mpf(N) / 6) ** lam
+        else:
+            v = mp.mpf(55) / 3 * (mp.mpf(N) / 65) ** lam
+        if abs(v - mp.nint(v)) < mp.mpf(10) ** -20:
+            return int(mp.nint(v))
+        return int(mp.floor(v) if lower else mp.ceil(v))
+
+
 def test_guard_handles_huge_arguments():
-    # at this size the fixed 1e-9 window is smaller than the representation
-    # error, so the magnitude-scaled guard has to take over
+    # the bounds are evaluated once, at a precision that grows with N, so
+    # the family points must still snap to their integers and their
+    # neighbors must not, however large N is
     k = 100
     assert analysis.lower_bound(6 * 4 ** k) == 2 * 3 ** k
     assert analysis.upper_bound(65 * 4 ** k) == 55 * 3 ** (k - 1)
     # neighbors of an exact family member must not get snapped to it
     assert analysis.lower_bound(6 * 4 ** k - 1) == 2 * 3 ** k - 1
     assert analysis.lower_bound(6 * 4 ** k + 1) == 2 * 3 ** k
+    ns = []
+    for k in range(201):
+        assert analysis.lower_bound(6 * 4 ** k) == 2 * 3 ** k
+        assert analysis.upper_bound(260 * 4 ** k) == 55 * 3 ** k
+        ns += [base * 4 ** k + d for base in (6, 65, 260) for d in (-2, -1, 1, 2)]
+    rng = random.Random(1000)
+    ns += [rng.randrange(2, 2 ** rng.randrange(2, 1001)) for _ in range(300)]
+    for N in ns:
+        assert analysis.lower_bound(N) == _reference_bound(N, True), N
+        assert analysis.upper_bound(N) == _reference_bound(N, False), N
 
 
 def test_bounds_hold_pointwise_small():

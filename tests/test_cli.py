@@ -90,6 +90,12 @@ def test_eval_residues(capsys):
     code, out, _ = invoke(
         ["eval", "8", "--residue", "1", "--algorithm", "oracle"], capsys)
     assert (code, out) == (0, "-3\n")
+    N = hex(random.Random(12).getrandbits(4096) | (1 << 4095))
+    code, want, _ = invoke(["eval", N, "--residue", "2"], capsys)
+    assert code == 0
+    code, out, _ = invoke(
+        ["eval", N, "--residue", "2", "--algorithm", "decomposition"], capsys)
+    assert (code, out) == (0, want)
 
 
 RECURSIVE_TRACE = """\
@@ -157,9 +163,20 @@ def test_eval_oracle_cap_exceeded(capsys):
 @pytest.mark.parametrize("cap", ["abc", "-1"])
 def test_malformed_oracle_cap(argv, cap, capsys, monkeypatch):
     monkeypatch.setenv("NEWMANSUM_ORACLE_CAP", cap)
-    code, _, err = invoke(argv, capsys)
+    code, out, err = invoke(argv, capsys)
     assert code == 2
     assert err.startswith("error: NEWMANSUM_ORACLE_CAP")
+    assert out == ""
+
+
+@pytest.mark.parametrize("argv", [["verify", "--max", "100"],
+                                  ["bounds", "--max", "100"]])
+def test_oracle_cap_exceeded_by_sweeps(argv, capsys, monkeypatch):
+    monkeypatch.setenv("NEWMANSUM_ORACLE_CAP", "50")
+    code, out, err = invoke(argv, capsys)
+    assert code == 2
+    assert err.startswith("error: oracle cap")
+    assert out == ""
 
 
 def test_usage_errors(capsys):

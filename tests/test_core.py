@@ -347,6 +347,8 @@ def test_residue_sum_vs_brute():
         pref = brute.prefix(3, l, 300)
         for N in range(301):
             assert core.residue_sum(l, N) == pref[N], (l, N)
+            assert core.residue_sum(l, N, evaluate=core.newman_sum_decomposition) \
+                == pref[N], (l, N)
 
 
 def test_six_residue_examples():
