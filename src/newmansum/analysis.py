@@ -12,7 +12,8 @@ upper) sit exactly on integer boundaries, so naive rounding there would
 be off by one.
 
 Sweeps go through one float evaluator, ``_bounds``, shared by
-``delta_record`` (so ``scan``) and ``verify.bounds_sweep``.  For
+``delta_record`` (so ``scan``) and ``bound_runs``, the walk over the
+value runs of both bounds that ``verify.bounds_sweep`` consumes.  For
 N <= 10^9 it takes the float power N**LAMBDA once and derives both bounds
 and delta = S/N^lam from it.  A bound escalates to the exact function only
 when its float lies within 1e-6 of an integer, and delta's 12-digit text
@@ -54,6 +55,7 @@ __all__ = [
     "eta_half",
     "DeltaRecord",
     "delta_record",
+    "bound_runs",
     "extremal_sequences",
     "scan",
     "EtaRow",
@@ -233,6 +235,46 @@ def _bounds(N: int):
         if not _BOUND_MARGIN < hi - v < 1 - _BOUND_MARGIN:
             hi = upper_bound(N)
     return lo, hi, p
+
+
+def _run_end(start: int, stop: int, which: int, value: int, guess: float) -> int:
+    """The first N in (start, stop) where bound ``which`` (0 lower, 1
+    upper) of ``_bounds`` exceeds ``value``, else stop.  The bound is
+    nondecreasing, so the guess only moves the search's start."""
+    N = min(max(math.ceil(guess), start + 1), stop)
+    while N < stop and _bounds(N)[which] <= value:
+        N += 1
+    while N - 1 > start and _bounds(N - 1)[which] > value:
+        N -= 1
+    return N
+
+
+def bound_runs(stop: int):
+    """Yield (a, b, lower, upper) for runs [a, b) covering 1 <= N < stop
+    on which both sharp bounds are constant, in ascending order.
+
+    N = 1 is a run of its own, having no upper bound.  Both bounds grow by
+    less than 1 per step in N (their slopes are below 0.5 for N >= 1), so
+    each run's bound is the last one's plus 1.  Each run end is guessed by
+    inverting the float formula (lower >= k from _C_LO * N^lam >= k, upper
+    > k from _C_HI * N^lam > k) and confirmed at N-1 and N by ``_bounds``.
+    """
+    lo, hi, _ = _bounds(1)
+    yield 1, 2, lo, hi
+    lo, hi, _ = _bounds(2)
+    a = lo_end = hi_end = 2
+    while a < stop:
+        if a == lo_end:
+            lo_end = _run_end(a, stop, 0, lo, ((lo + 1) / _C_LO) ** (1 / LAMBDA))
+        if a == hi_end:
+            hi_end = _run_end(a, stop, 1, hi, (hi / _C_HI) ** (1 / LAMBDA))
+        b = min(lo_end, hi_end)
+        yield a, b, lo, hi
+        if b == lo_end:
+            lo += 1
+        if b == hi_end:
+            hi += 1
+        a = b
 
 
 def _delta_text(d: float) -> str | None:

@@ -46,8 +46,7 @@ def _natural(text: str) -> int:
         elif s.startswith("0b"):
             value = int(s[2:], 2)
         else:
-            with _any_length_ints():
-                value = int(s, 10)
+            value = int(s, 10)
     except ValueError:
         raise argparse.ArgumentTypeError(f"not a natural number: {text!r}")
     if value < 0:
@@ -96,21 +95,20 @@ def _cmd_eval(args) -> int:
     else:
         value = core.residue_sum(args.residue, N, core.newman_sum_recursive)
 
-    with _any_length_ints():
-        print(value)
-        if args.trace:
-            if args.algorithm == "decomposition":
-                terms = core.decomposition_terms(N)
-                for desc, v in terms:
-                    print(f"{desc} = {v}")
-                print(_sum_line([v for _, v in terms], value))
-            else:
-                pairs = core.recursion_trace(N)
-                for Nk, c in pairs:
-                    print(f"S({Nk}) = 3*S({Nk // 4}) {'+' if c >= 0 else '-'} {abs(c)}")
-                weighted = [3 ** k * c for k, (_, c) in enumerate(pairs)]
-                concluding = [w for w in reversed(weighted) if w != 0]
-                print(_sum_line(concluding, value))
+    print(value)
+    if args.trace:
+        if args.algorithm == "decomposition":
+            terms = core.decomposition_terms(N)
+            for desc, v in terms:
+                print(f"{desc} = {v}")
+            print(_sum_line([v for _, v in terms], value))
+        else:
+            pairs = core.recursion_trace(N)
+            for Nk, c in pairs:
+                print(f"S({Nk}) = 3*S({Nk // 4}) {'+' if c >= 0 else '-'} {abs(c)}")
+            weighted = [3 ** k * c for k, (_, c) in enumerate(pairs)]
+            concluding = [w for w in reversed(weighted) if w != 0]
+            print(_sum_line(concluding, value))
     return 0
 
 
@@ -214,7 +212,7 @@ def _cmd_bench(args) -> int:
               f"recursive {tr * 1e3:.3f} ms, oracle {to}")
     limit = min(10 ** 6, cap)
     t0 = time.perf_counter()
-    oracle.oracle_prefix(3, 0, limit, cap)
+    oracle.oracle_prefix(3, 0, limit)
     dt = time.perf_counter() - t0
     print(f"prefix scan to {limit}: {dt * 1e3:.1f} ms")
     return 0
@@ -264,12 +262,13 @@ def _build_parser() -> _Parser:
 
 def main(argv=None) -> int:
     parser = _build_parser()
-    args = parser.parse_args(argv)
-    try:
-        return args.func(args)
-    except oracle.OracleCapError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    with _any_length_ints():
+        args = parser.parse_args(argv)
+        try:
+            return args.func(args)
+        except oracle.OracleCapError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
 
 
 def run() -> None:

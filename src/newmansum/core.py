@@ -92,20 +92,6 @@ def bit_exponents(x: int) -> list:
     return exps
 
 
-# Mask with ones in all even bit positions, grown on demand so that
-# alt_exponent_sum stays O(1) big-int operations for huge arguments.
-_EVEN_MASK = 0x5555555555555555
-_EVEN_MASK_BITS = 64
-
-
-def _even_bits_mask(nbits: int) -> int:
-    global _EVEN_MASK, _EVEN_MASK_BITS
-    while _EVEN_MASK_BITS < nbits:
-        _EVEN_MASK |= _EVEN_MASK << _EVEN_MASK_BITS
-        _EVEN_MASK_BITS *= 2
-    return _EVEN_MASK
-
-
 def alt_exponent_sum(y: int) -> int:
     """Alternating sum of (-1)^k over the set-bit exponents k of y.
 
@@ -115,7 +101,8 @@ def alt_exponent_sum(y: int) -> int:
     y = index(y)
     if y < 1:
         raise ValueError("alt_exponent_sum needs y >= 1")
-    even = (y & _even_bits_mask(y.bit_length())).bit_count()
+    # (4^k - 1) // 3 has ones in the k even bit positions below 2k
+    even = (y & (1 << (y.bit_length() + 2 & -2)) // 3).bit_count()
     return 2 * even - y.bit_count()
 
 
@@ -264,6 +251,15 @@ def recursion_trace(N: int) -> list:
     return pairs
 
 
+# Coefficient rows of the residue identities.  Row l gives
+#     S_{3,l}(N) = sum of c_i * S_{3,0}(2^i N),
+# and row j gives
+#     S_{6,j}([2x, 2y)) = sum of c_i * S_{3,0}([2^i x, 2^i y)).
+# Every entry is nonzero, so each row costs one evaluation per entry.
+_RESIDUE_ROWS = ((1,), (1, -1), (1, 1, -1))
+_SIX_ROWS = ((1,), (-1,), (1, -1), (-1, 1), (1, 1, -1), (-1, 2, 1, -1))
+
+
 def residue_sum(l: int, N: int, evaluate=newman_sum_recursive) -> int:
     """S_{3,l}(N) for l in {0, 1, 2}, via S_{3,0} at N, 2N and 4N:
 
@@ -276,13 +272,9 @@ def residue_sum(l: int, N: int, evaluate=newman_sum_recursive) -> int:
     N = index(N)
     if N < 0:
         raise ValueError("residue_sum needs N >= 0")
-    if l == 0:
-        return evaluate(N)
-    if l == 1:
-        return evaluate(N) - evaluate(2 * N)
-    if l == 2:
-        return evaluate(N) + evaluate(2 * N) - evaluate(4 * N)
-    raise ValueError("residue must be 0, 1 or 2")
+    if l not in (0, 1, 2):
+        raise ValueError("residue must be 0, 1 or 2")
+    return sum(c * evaluate(N << i) for i, c in enumerate(_RESIDUE_ROWS[l]))
 
 
 def six_residue_sum(j: int, x: int, y: int) -> int:
@@ -290,7 +282,13 @@ def six_residue_sum(j: int, x: int, y: int) -> int:
 
     Doubling maps the multiples of 3 in [x, y) onto the multiples of 6 in
     [2x, 2y) with one extra binary one, which pins each class down to a
-    fixed combination of S_{3,0} over [x,y), [2x,2y), [4x,4y) and [8x,8y).
+    fixed combination of S_{3,0} over [x,y), [2x,2y), [4x,4y) and [8x,8y),
+    writing I_i = S([2^i x, 2^i y)):
+
+        S_{6,0} = I_0            S_{6,1} = -I_0
+        S_{6,2} = I_0 - I_1      S_{6,3} = I_1 - I_0
+        S_{6,4} = I_0 + I_1 - I_2
+        S_{6,5} = 2 I_1 + I_2 - I_3 - I_0   (S_{3,2} minus S_{6,2} over [2x, 2y))
     """
     x, y = index(x), index(y)
     if j not in range(6):
@@ -299,22 +297,8 @@ def six_residue_sum(j: int, x: int, y: int) -> int:
         raise ValueError("need 0 <= x <= y")
     if x == y:
         return 0
-
-    def iv(a, b):
-        return newman_sum_recursive(b) - newman_sum_recursive(a)
-
-    if j == 0:
-        return iv(x, y)
-    if j == 1:
-        return -iv(x, y)
-    if j == 2:
-        return iv(x, y) - iv(2 * x, 2 * y)
-    if j == 3:
-        return iv(2 * x, 2 * y) - iv(x, y)
-    if j == 4:
-        return iv(2 * x, 2 * y) - iv(4 * x, 4 * y) + iv(x, y)
-    # j == 5: complement of S_{6,2} inside S_{3,2} over [2x, 2y)
-    return 2 * iv(2 * x, 2 * y) + iv(4 * x, 4 * y) - iv(8 * x, 8 * y) - iv(x, y)
+    return sum(c * (newman_sum_recursive(y << i) - newman_sum_recursive(x << i))
+               for i, c in enumerate(_SIX_ROWS[j]))
 
 
 def scaled_residue_sum(m: int, k: int, r: int, n: int) -> int:

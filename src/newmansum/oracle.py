@@ -5,7 +5,7 @@ the ground truth every fast evaluator is checked against, so it stays
 deliberately naive: one pure-Python loop over n, with no shortcuts in the
 math.  It takes integers of any size.
 
-A configurable cap (default 2^32, override per call or through the
+A configurable cap (default 2^32, override through the
 ``NEWMANSUM_ORACLE_CAP`` environment variable) refuses enumerations that
 would silently run for hours.
 """
@@ -54,9 +54,8 @@ def _check_class(modulus, residue):
         raise ValueError("residue must be in [0, modulus)")
 
 
-def _check_cap(bound, cap):
-    if cap is None:
-        cap = oracle_cap()
+def _check_cap(bound):
+    cap = oracle_cap()
     if bound > cap:
         raise OracleCapError(
             f"oracle cap: enumerating up to {bound} exceeds the cap of {cap}")
@@ -84,27 +83,25 @@ def _prefix_sums(modulus, residue, limit):
     return out
 
 
-def oracle_sum(modulus: int, residue: int, x: int, cap: int | None = None) -> int:
+def oracle_sum(modulus: int, residue: int, x: int) -> int:
     """S_{modulus,residue}(x) by direct enumeration of all n < x."""
     _check_class(modulus, residue)
     if x < 0:
         raise ValueError("x must be >= 0")
-    _check_cap(x, cap)
+    _check_cap(x)
     return _range_sum(modulus, residue, 0, x)
 
 
-def oracle_interval_sum(modulus: int, residue: int, start: int, stop: int,
-                        cap: int | None = None) -> int:
+def oracle_interval_sum(modulus: int, residue: int, start: int, stop: int) -> int:
     """S_{modulus,residue}([start, stop)) by direct enumeration."""
     _check_class(modulus, residue)
     if not 0 <= start <= stop:
         raise ValueError("need 0 <= start <= stop")
-    _check_cap(stop, cap)
+    _check_cap(stop)
     return _range_sum(modulus, residue, start, stop)
 
 
-def oracle_prefix(modulus: int, residue: int, limit: int,
-                  cap: int | None = None) -> array:
+def oracle_prefix(modulus: int, residue: int, limit: int) -> array:
     """All prefix values S_{modulus,residue}(x) for x = 0..limit, one pass.
 
     Returns an ``array('q')`` of length limit+1; entry x is exactly
@@ -113,5 +110,5 @@ def oracle_prefix(modulus: int, residue: int, limit: int,
     _check_class(modulus, residue)
     if limit < 0:
         raise ValueError("limit must be >= 0")
-    _check_cap(limit, cap)
+    _check_cap(limit)
     return _prefix_sums(modulus, residue, limit)

@@ -9,18 +9,17 @@ identities, and the residue-class combinations.
 
 ``bounds_sweep`` checks the sharp bounds floor(2*(N/6)^lam) <= S_{3,0}(N)
 <= ceil((55/3)*(N/65)^lam) and Newman's inequality over a full range.
-Both bounds are nondecreasing in N, so the sweep walks their value runs
-rather than every N.  The end of each run is guessed by inverting the
-float formula and confirmed at N-1 and N with the float evaluator of
-:mod:`newmansum.analysis`, which escalates to the exact bound functions
-near an integer.  A run is checked by the minimum and maximum of its S
-values, and read entry by entry only when one of them touches or crosses
-a bound, which is where violations and attainments are recorded.
+Both bounds are nondecreasing in N, so the sweep consumes their value
+runs from ``analysis.bound_runs`` rather than visiting every N; the runs
+come from the float evaluator of :mod:`newmansum.analysis`, which
+escalates to the exact bound functions near an integer.  A run is
+checked by the minimum and maximum of its S values, and read entry by
+entry only when one of them touches or crosses a bound, which is where
+violations and attainments are recorded.
 Newman's inequality is checked per run the same way, from the run's
 extremes against its end points.
 """
 
-import math
 from dataclasses import dataclass, field
 
 from . import analysis, core, oracle
@@ -114,47 +113,6 @@ class BoundsReport:
         return not self.bound_violations and not self.newman_violations
 
 
-def _run_end(start: int, stop: int, which: int, value: int, guess: float) -> int:
-    """The first N in (start, stop) where bound ``which`` (0 lower, 1
-    upper) of ``analysis._bounds`` exceeds ``value``, else stop.  The
-    bound is nondecreasing, so the guess only moves the search's start."""
-    N = min(max(math.ceil(guess), start + 1), stop)
-    while N < stop and analysis._bounds(N)[which] <= value:
-        N += 1
-    while N - 1 > start and analysis._bounds(N - 1)[which] > value:
-        N -= 1
-    return N
-
-
-def _runs(stop: int):
-    """Yield (a, b, lower, upper) for runs [a, b) covering 1 <= N < stop
-    on which both bounds are constant, in ascending order.
-
-    N = 1 is a run of its own, having no upper bound.  Both bounds grow by
-    less than 1 per step in N (their slopes are below 0.5 for N >= 1), so
-    each run's bound is the last one's plus 1.  Run ends come from
-    inverting the bounds' formulas: lower >= k from N = 6(k/2)^(1/lam),
-    upper > k from N > 65(3k/55)^(1/lam).
-    """
-    lo, hi, _ = analysis._bounds(1)
-    yield 1, 2, lo, hi
-    lo, hi, _ = analysis._bounds(2)
-    inv = 1 / analysis.LAMBDA
-    a = lo_end = hi_end = 2
-    while a < stop:
-        if a == lo_end:
-            lo_end = _run_end(a, stop, 0, lo, 6 * ((lo + 1) / 2) ** inv)
-        if a == hi_end:
-            hi_end = _run_end(a, stop, 1, hi, 65 * (3 * hi / 55) ** inv)
-        b = min(lo_end, hi_end)
-        yield a, b, lo, hi
-        if b == lo_end:
-            lo += 1
-        if b == hi_end:
-            hi += 1
-        a = b
-
-
 def _spot_check(rep: BoundsReport, N: int, S: int, lo: int, hi) -> None:
     """Cross-check S against the recursion and the run's bounds against
     the exact bound functions."""
@@ -179,7 +137,7 @@ def bounds_sweep(max_n: int, prefix=None, spot_step: int = 9973) -> BoundsReport
         prefix = oracle.oracle_prefix(3, 0, max_n)
     lam = analysis.LAMBDA
     rep = BoundsReport(max_n)
-    for a, b, lo, hi in _runs(max_n + 1):
+    for a, b, lo, hi in analysis.bound_runs(max_n + 1):
         run = prefix[a:b]
         low, high = min(run), max(run)
         rep.checks += 2 * (b - a)

@@ -7,7 +7,7 @@ from decimal import Decimal
 import pytest
 
 import newmansum
-from newmansum import cli, core
+from newmansum import analysis, cli, core
 
 
 def invoke(argv, capsys):
@@ -249,6 +249,25 @@ def test_scan_is_deterministic(tmp_path, capsys):
             ["scan", "--from", "2", "--to", "60", "--out", str(path)], capsys)
         assert code == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_scan_past_str_limit(tmp_path, capsys):
+    # N of 4401 digits, past CPython's default int->str limit of 4300
+    start = 10 ** 4400
+    out_path = tmp_path / "huge.csv"
+    limit = sys.get_int_max_str_digits()
+    code, _, err = invoke(
+        ["scan", "--from", str(Decimal(start)), "--to", str(Decimal(start + 3)),
+         "--out", str(out_path)], capsys)
+    assert (code, err) == (0, "")
+    assert sys.get_int_max_str_digits() == limit
+    rows = out_path.read_text().splitlines()[1:]
+    assert len(rows) == 3
+    for N, row in zip(range(start, start + 3), rows):
+        rec = analysis.delta_record(N)
+        upper = "" if rec.upper is None else str(Decimal(rec.upper))
+        assert row == ",".join([str(Decimal(N)), str(Decimal(rec.S)), rec.delta_text,
+                                str(Decimal(rec.lower)), upper, "true"])
 
 
 def test_scan_bad_range(tmp_path, capsys):

@@ -59,7 +59,10 @@ def test_alt_exponent_sum_congruent_mod_3(y):
     assert core.alt_exponent_sum(y) % 3 == y % 3
 
 
-@given(st.integers(min_value=1, max_value=1 << 64))
+@given(st.integers(min_value=1, max_value=1 << 300))
+@example((1 << 64) - 1)
+@example(1 << 64)
+@example((1 << 64) + 1)
 def test_alt_exponent_sum_definition(y):
     expected = sum((-1) ** k for k in core.bit_exponents(y))
     assert core.alt_exponent_sum(y) == expected
@@ -340,6 +343,8 @@ def test_residue_sum_examples():
     assert core.residue_sum(0, 500000) == 18261
     with pytest.raises(ValueError):
         core.residue_sum(3, 8)
+    with pytest.raises(ValueError):
+        core.residue_sum(-1, 8)
 
 
 def test_residue_sum_vs_brute():
@@ -360,6 +365,8 @@ def test_six_residue_examples():
         core.six_residue_sum(0, 4, 3)
     with pytest.raises(ValueError):
         core.six_residue_sum(6, 0, 4)
+    with pytest.raises(ValueError):
+        core.six_residue_sum(-1, 0, 4)
 
 
 def test_six_residue_vs_brute_exhaustive():

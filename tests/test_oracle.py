@@ -53,15 +53,17 @@ def test_bad_residue_class_rejected():
         oracle.oracle_sum(3, 0, -1)
 
 
-def test_cap_is_enforced():
+def test_cap_is_enforced(monkeypatch):
     with pytest.raises(oracle.OracleCapError, match="oracle cap"):
         oracle.oracle_sum(3, 0, oracle.DEFAULT_ORACLE_CAP + 1)
+    monkeypatch.setenv("NEWMANSUM_ORACLE_CAP", "50")
     with pytest.raises(oracle.OracleCapError):
-        oracle.oracle_sum(3, 0, 100, cap=50)
+        oracle.oracle_sum(3, 0, 100)
     with pytest.raises(oracle.OracleCapError):
-        oracle.oracle_prefix(3, 0, 100, cap=50)
+        oracle.oracle_prefix(3, 0, 100)
     # the cap guards the bound, not the count of summands
-    assert oracle.oracle_sum(3, 0, 100, cap=100) == brute.newman(3, 0, 100)
+    monkeypatch.setenv("NEWMANSUM_ORACLE_CAP", "100")
+    assert oracle.oracle_sum(3, 0, 100) == brute.newman(3, 0, 100)
 
 
 def test_cap_env_override(monkeypatch):
@@ -100,7 +102,8 @@ def test_prefix_peak_memory_near_output_size():
     assert peak < 1.25 * 8 * (limit + 1)
 
 
-def test_pure_kernel_handles_beyond_word_range():
+def test_pure_kernel_handles_beyond_word_range(monkeypatch):
     base = 1 << 70
+    monkeypatch.setenv("NEWMANSUM_ORACLE_CAP", str(base + 30))
     want = sum(brute.sign(n) for n in range(base, base + 30) if n % 3 == 0)
-    assert oracle.oracle_interval_sum(3, 0, base, base + 30, cap=base + 30) == want
+    assert oracle.oracle_interval_sum(3, 0, base, base + 30) == want

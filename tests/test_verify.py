@@ -106,8 +106,8 @@ def test_run_end_confirms_any_guess(which):
         if analysis._bounds(N)[which] > value:      # a run starts at N
             starts += 1
             for guess in (N - 2, N, N + 0.5, N + 3):
-                assert verify._run_end(N - 1, 1101, which, value, guess) == N
-            assert verify._run_end(N - 1, N, which, value, N + 3) == N   # stop
+                assert analysis._run_end(N - 1, 1101, which, value, guess) == N
+            assert analysis._run_end(N - 1, N, which, value, N + 3) == N   # stop
     assert starts > 100
 
 
