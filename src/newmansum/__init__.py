@@ -49,6 +49,7 @@ from .analysis import (
     extremal_sequences,
     scan,
     EtaRow,
+    eta_row,
     eta_rows,
 )
 from .verify import CheckReport, run_core_checks, BoundsReport, bounds_sweep

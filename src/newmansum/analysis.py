@@ -59,6 +59,7 @@ __all__ = [
     "extremal_sequences",
     "scan",
     "EtaRow",
+    "eta_row",
     "eta_rows",
     "format_significant",
 ]
@@ -368,16 +369,19 @@ class EtaRow:
     agree: bool
 
 
+def eta_row(x: int) -> EtaRow:
+    """The EtaRow of x >= 1, computed on its own, so that a table of any
+    length can be printed row by row."""
+    d = eta_defined(x)
+    e = eta_derived(x)
+    return EtaRow(x, d, e, d == e)
+
+
 def eta_rows(x_max: int) -> list:
     """EtaRows for all odd x up to x_max."""
     if x_max < 1:
         raise ValueError("eta_rows needs x_max >= 1")
-    rows = []
-    for x in range(1, x_max + 1, 2):
-        d = eta_defined(x)
-        e = eta_derived(x)
-        rows.append(EtaRow(x, d, e, d == e))
-    return rows
+    return [eta_row(x) for x in range(1, x_max + 1, 2)]
 
 
 def format_significant(value, digits: int = 12) -> str:

@@ -7,10 +7,12 @@ error}.  All output except bench timings is byte-deterministic.
 
 import argparse
 import contextlib
+import decimal
 import os
 import sys
 import tempfile
 import time
+from decimal import Decimal
 
 from . import analysis, core, oracle, verify
 
@@ -71,11 +73,79 @@ def _exponents(text: str) -> list:
     return exps
 
 
-def _sum_line(terms, total) -> str:
-    if not terms:
-        return f"0={total}"
-    parts = [str(terms[0])] + [f"{t:+d}" for t in terms[1:]]
-    return "".join(parts) + f"={total}"
+def _exact_decimal():
+    """A local decimal context whose integer arithmetic is exact at any
+    size: an inexact step raises instead of rounding."""
+    ctx = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX,
+                          Emin=decimal.MIN_EMIN)
+    ctx.traps[decimal.Inexact] = True
+    return decimal.localcontext(ctx)
+
+
+def _scaled_powers_of_3(terms):
+    """Decimal c * 3^j for each (c, j) of terms, j never increasing, all
+    from one power of 3 divided down as j falls.
+
+    A fall of j by one is one short division, and str() of a Decimal is
+    linear in its length, where str() of an int is quadratic.  Needs an
+    exact decimal context.
+    """
+    power = top = None
+    for c, j in terms:
+        if power is None:
+            power, top = Decimal(3) ** j, j
+        elif j < top:
+            power, top = power // Decimal(3) ** (top - j), j
+        yield power * c
+
+
+def _write_sum_line(terms, total_text: str) -> None:
+    """Write t_0+t_1...=total from Decimal terms, one piece at a time, so
+    that the line is never held whole; an empty sum is written as 0."""
+    write = sys.stdout.write
+    first = True
+    for term in terms:
+        text = str(term)
+        if not first and text[0] != "-":
+            write("+")
+        write(text)
+        first = False
+    if first:
+        write("0")
+    write(f"={total_text}\n")
+
+
+def _write_recursion_trace(N: int, total_text: str) -> None:
+    write = sys.stdout.write
+    corrections = [c for _, c in core.recursion_trace(N)]
+    with _exact_decimal():
+        n = Decimal(N)
+        n_text = str(n)
+        for c in corrections:
+            n //= 4
+            quarter_text = str(n)
+            write(f"S({n_text}) = 3*S({quarter_text}) "
+                  f"{'+' if c >= 0 else '-'} {abs(c)}\n")
+            n_text = quarter_text
+        # S(N) = sum of 3^k * c(N_k), written from the top level down
+        weighted = [(c, k) for k, c in enumerate(corrections) if c][::-1]
+        _write_sum_line(_scaled_powers_of_3(weighted), total_text)
+
+
+def _write_decomposition_trace(N: int, total_text: str) -> None:
+    write = sys.stdout.write
+    terms = core.decomposition_terms(N)
+    # The term of set bit k is 0 or +-{1,2} * 3^j with j = (k - 1) // 2,
+    # or j = 0 for k = 0.  3^j is odd, so the term's parity tells 1 from 2.
+    scaled = []
+    for k, (_, v) in zip(core.bit_exponents(N), terms):
+        m = 0 if v == 0 else 1 if v & 1 else 2
+        scaled.append((m if v >= 0 else -m, max(k - 1, 0) // 2))
+    with _exact_decimal():
+        values = list(_scaled_powers_of_3(scaled))
+    for (desc, _), value in zip(terms, values):
+        write(f"{desc} = {value}\n")
+    _write_sum_line(values, total_text)
 
 
 def _cmd_eval(args) -> int:
@@ -95,20 +165,13 @@ def _cmd_eval(args) -> int:
     else:
         value = core.residue_sum(args.residue, N, core.newman_sum_recursive)
 
-    print(value)
+    value_text = str(value)
+    print(value_text)
     if args.trace:
         if args.algorithm == "decomposition":
-            terms = core.decomposition_terms(N)
-            for desc, v in terms:
-                print(f"{desc} = {v}")
-            print(_sum_line([v for _, v in terms], value))
+            _write_decomposition_trace(N, value_text)
         else:
-            pairs = core.recursion_trace(N)
-            for Nk, c in pairs:
-                print(f"S({Nk}) = 3*S({Nk // 4}) {'+' if c >= 0 else '-'} {abs(c)}")
-            weighted = [3 ** k * c for k, (_, c) in enumerate(pairs)]
-            concluding = [w for w in reversed(weighted) if w != 0]
-            print(_sum_line(concluding, value))
+            _write_recursion_trace(N, value_text)
     return 0
 
 
@@ -178,7 +241,8 @@ def _cmd_bounds(args) -> int:
 
 def _cmd_eta(args) -> int:
     print(f"{'x':>6} {'defined':>8} {'derived':>8} {'half':>6}  status")
-    for row in analysis.eta_rows(args.max):
+    for x in range(1, args.max + 1, 2):
+        row = analysis.eta_row(x)
         half = analysis.eta_half(row.x)
         status = "ok" if row.agree else "MISMATCH"
         print(f"{row.x:>6} {row.eta_defined:>+8d} {row.eta_derived:>+8d} "

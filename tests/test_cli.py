@@ -1,7 +1,9 @@
+import contextlib
 import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from decimal import Decimal
 
 import pytest
@@ -139,6 +141,48 @@ def test_eval_decomposition_trace(capsys):
         ["eval", "500000", "--algorithm", "decomposition", "--trace"], capsys)
     assert code == 0
     assert out == DECOMPOSITION_TRACE
+
+
+def _sum_line(terms, total) -> str:
+    if not terms:
+        return f"0={total}"
+    parts = [str(terms[0])] + [f"{t:+d}" for t in terms[1:]]
+    return "".join(parts) + f"={total}"
+
+
+def _reference_trace(N, algorithm) -> str:
+    """The output of `eval N --trace`, rendered from core's int values
+    with one int->str per printed number."""
+    value = core.newman_sum_recursive(N)
+    lines = [value]
+    if algorithm == "decomposition":
+        terms = core.decomposition_terms(N)
+        lines += [f"{desc} = {v}" for desc, v in terms]
+        lines.append(_sum_line([v for _, v in terms], value))
+    else:
+        pairs = core.recursion_trace(N)
+        lines += [f"S({Nk}) = 3*S({Nk // 4}) {'+' if c >= 0 else '-'} {abs(c)}"
+                  for Nk, c in pairs]
+        weighted = [3 ** k * c for k, (_, c) in enumerate(pairs)]
+        lines.append(_sum_line([w for w in reversed(weighted) if w != 0], value))
+    return "".join(f"{line}\n" for line in lines)
+
+
+# zero-valued dyadic terms, the boundary term, zero corrections, N = 0, 1
+TRACE_NUMBERS = [*range(301), 500000,
+                 *(6 * 4 ** k for k in range(12)),
+                 *(260 * 4 ** k for k in range(12)),
+                 *(random.Random(bits).getrandbits(bits) | 1 << (bits - 1)
+                   for bits in (64, 1000, 4096))]
+
+
+@pytest.mark.parametrize("algorithm", ["recursive", "decomposition"])
+def test_eval_trace_matches_int_rendering(algorithm, capsys):
+    for N in TRACE_NUMBERS:
+        code, out, err = invoke(
+            ["eval", hex(N), "--algorithm", algorithm, "--trace"], capsys)
+        assert (code, err) == (0, "")
+        assert out == _reference_trace(N, algorithm), f"N={N}"
 
 
 def test_eval_trace_usage_errors(capsys):
@@ -324,6 +368,25 @@ def test_eta_table(capsys):
     assert out == ETA_9
 
 
+def _eta_peak_bytes(x_max):
+    with open(os.devnull, "w") as null, contextlib.redirect_stdout(null):
+        tracemalloc.start()
+        try:
+            assert cli.main(["eta", "--max", str(x_max)]) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+
+def test_eta_memory_does_not_grow_with_max(monkeypatch):
+    # Constant eta values keep the test fast; what is measured is whether
+    # the table holds its rows, about 130 B each, before printing them.
+    for name in ("eta_defined", "eta_derived", "eta_half"):
+        monkeypatch.setattr(analysis, name, lambda x: 1)
+    _eta_peak_bytes(1)
+    assert abs(_eta_peak_bytes(80001) - _eta_peak_bytes(20001)) < 256 * 1024
+
+
 # ------------------------------------------------------------------- bench
 
 def test_bench_runs(capsys):
@@ -355,17 +418,32 @@ def test_module_entry_point():
     assert proc.stdout == "7\n"
 
 
-def test_closed_stdout_exits_2_without_traceback():
-    # eta prints about 380 kB here, more than a pipe holds, so the writer
-    # is still printing when the reader goes away after the first line
+def _close_after_first_line(argv):
+    """Run ``python -m newmansum argv``, close its stdout after the first
+    line and return (exit code, first line, stderr)."""
     proc = subprocess.Popen(
-        [sys.executable, "-m", "newmansum", "eta", "--max", "20001"],
+        [sys.executable, "-m", "newmansum", *argv],
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_package_env())
     first = proc.stdout.readline()
     proc.stdout.close()
     err = proc.stderr.read()
     proc.stderr.close()
-    assert proc.wait(timeout=120) == 2
+    return proc.wait(timeout=120), first, err
+
+
+def test_closed_stdout_exits_2_without_traceback():
+    # eta prints about 380 kB here, more than a pipe holds, so the writer
+    # is still printing when the reader goes away after the first line
+    code, first, err = _close_after_first_line(["eta", "--max", "20001"])
+    assert code == 2
     assert first.split() == [b"x", b"defined", b"derived", b"half", b"status"]
     assert err == b""
 
+
+def test_closed_stdout_during_trace_exits_2_without_traceback():
+    # about 3 MB of trace, written in pieces after the first line
+    N = random.Random(4096).getrandbits(4096) | 1 << 4095
+    code, first, err = _close_after_first_line(["eval", hex(N), "--trace"])
+    assert code == 2
+    assert first == f"{core.newman_sum_recursive(N)}\n".encode()
+    assert err == b""
