@@ -117,7 +117,7 @@ def _write_sum_line(terms, total_text: str) -> None:
 
 def _write_recursion_trace(N: int, total_text: str) -> None:
     write = sys.stdout.write
-    corrections = [c for _, c in core.recursion_trace(N)]
+    corrections = core.recursion_trace(N)
     with _exact_decimal():
         n = Decimal(N)
         n_text = str(n)
@@ -127,7 +127,7 @@ def _write_recursion_trace(N: int, total_text: str) -> None:
             write(f"S({n_text}) = 3*S({quarter_text}) "
                   f"{'+' if c >= 0 else '-'} {abs(c)}\n")
             n_text = quarter_text
-        # S(N) = sum of 3^k * c(N_k), written from the top level down
+        # S(N) = sum of 3^k * c(N >> 2k), written from the top level down
         weighted = [(c, k) for k, c in enumerate(corrections) if c][::-1]
         _write_sum_line(_scaled_powers_of_3(weighted), total_text)
 
@@ -135,17 +135,11 @@ def _write_recursion_trace(N: int, total_text: str) -> None:
 def _write_decomposition_trace(N: int, total_text: str) -> None:
     write = sys.stdout.write
     terms = core.decomposition_terms(N)
-    # The term of set bit k is 0 or +-{1,2} * 3^j with j = (k - 1) // 2,
-    # or j = 0 for k = 0.  3^j is odd, so the term's parity tells 1 from 2.
-    scaled = []
-    for k, (_, v) in zip(core.bit_exponents(N), terms):
-        m = 0 if v == 0 else 1 if v & 1 else 2
-        scaled.append((m if v >= 0 else -m, max(k - 1, 0) // 2))
+    scaled = [(c, j) for _, c, j in terms]
     with _exact_decimal():
-        values = list(_scaled_powers_of_3(scaled))
-    for (desc, _), value in zip(terms, values):
-        write(f"{desc} = {value}\n")
-    _write_sum_line(values, total_text)
+        for (desc, _, _), value in zip(terms, _scaled_powers_of_3(scaled)):
+            write(f"{desc} = {value}\n")
+        _write_sum_line(_scaled_powers_of_3(scaled), total_text)
 
 
 def _cmd_eval(args) -> int:

@@ -24,9 +24,8 @@ finite-state transducer: it finds the small digits d_j of
 S_{3,0}(x) = sum of d_j * 3^j in one pass over the bytes of x and sums
 them by divide and conquer (``_assemble``), so its cost is bounded by
 big-integer multiplication.  ``decomposition_terms`` and
-``recursion_trace`` take the same steps one at a time on the whole
-integer, for display and as the reference the digit scan is tested
-against.
+``recursion_trace`` run the same transducer steps one digit or one set bit
+at a time and return its small outputs, the terms c * 3^j, for display.
 
 Sums over the other residue classes mod 3, mod 6 and mod 3*2^m reduce to
 S_{3,0} by fixed linear combinations and are exposed as ``residue_sum``,
@@ -83,13 +82,8 @@ def bit_exponents(x: int) -> list:
     x = index(x)
     if x < 0:
         raise ValueError("bit_exponents needs x >= 0")
-    exps = []
-    while x:
-        low = x & -x
-        exps.append(low.bit_length() - 1)
-        x ^= low
-    exps.reverse()
-    return exps
+    top = x.bit_length() - 1
+    return [top - i for i, bit in enumerate(format(x, "b")) if bit == "1"]
 
 
 def alt_exponent_sum(y: int) -> int:
@@ -185,28 +179,26 @@ def newman_sum_decomposition(x: int) -> int:
 
 
 def decomposition_terms(x: int) -> list:
-    """The (description, signed term) pairs summed by
-    ``newman_sum_decomposition``, in processing order (descending bits)."""
+    """The terms summed by ``newman_sum_decomposition``, in processing
+    order (descending bits): one (description, c, j) per set bit, where
+    the term is c * 3^j with c in -2..2."""
     x = index(x)
     if x < 0:
         raise ValueError("decomposition_terms needs x >= 0")
     terms = []
     t = 0
-    for i, k in enumerate(bit_exponents(x)):
-        if i == 0:
-            terms.append((f"S(2^{k})", power_sum(k)))
-        elif k == 0:
+    for k in bit_exponents(x):
+        if k == 0:
             # through Decimal, which has no int->str length limit
-            terms.append((f"S([{Decimal(x - 1)},{Decimal(x)}))", boundary_term(x)))
-        else:
-            sign, form, parity = _REDUCTION_TABLE[t % 6]
-            s = "+" if sign > 0 else "-"
-            if form == "power":
-                terms.append((f"{s}S(2^{k})", sign * power_sum(k)))
-            else:
-                terms.append((f"{s}S([2^n,2^n+2^{k})) n {parity}",
-                              sign * dyadic_sum(parity, k)))
-        t += 1 if k % 2 == 0 else -1
+            desc = f"S([{Decimal(x - 1)},{Decimal(x)}))" if terms else "S(2^0)"
+            terms.append((desc, boundary_term(x), 0))
+            break
+        sign, form, parity = _REDUCTION_TABLE[t]
+        s = "" if not terms else "+" if sign > 0 else "-"
+        desc = (f"{s}S(2^{k})" if form == "power"
+                else f"{s}S([2^n,2^n+2^{k})) n {parity}")
+        c, t = _bit_term(t, k)
+        terms.append((desc, c, (k - 1) // 2))
     return terms
 
 
@@ -237,18 +229,23 @@ def newman_sum_recursive(N: int) -> int:
 
 
 def recursion_trace(N: int) -> list:
-    """The (N_k, c(N_k)) pairs visited by the recursion, outermost first.
+    """The corrections c(N >> 2k) of the recursion, k = 0 first, one per
+    base-4 digit of N, from one pass over the digits from the top.
 
-    S_{3,0}(N) = sum of 3^k * c(N_k) over the returned pairs.
+    S_{3,0}(N) = sum of 3^k * c_k over the returned list.
     """
     N = index(N)
     if N < 0:
         raise ValueError("recursion_trace needs N >= 0")
-    pairs = []
-    while N:
-        pairs.append((N, recursion_correction(N)))
-        N //= 4
-    return pairs
+    state = 0
+    corrections = []
+    for byte in N.to_bytes((N.bit_length() + 7) // 8, "big"):
+        for shift in (6, 4, 2, 0):
+            state, c = _recursion_step(state, byte >> shift & 3)
+            corrections.append(c)
+    corrections.reverse()
+    del corrections[(N.bit_length() + 1) // 2:]   # the top byte's leading zeros
+    return corrections
 
 
 # Coefficient rows of the residue identities.  Row l gives
@@ -415,17 +412,21 @@ _TERM_DIGIT = tuple(
     for sign, form, parity in _REDUCTION_TABLE)
 
 
+def _bit_term(t, k):
+    # Set bit k >= 1 seen with t, the running alternating exponent sum mod 6:
+    # the coefficient of 3^((k - 1) // 2) in its term, and t after the bit.
+    # The leading bit sees t = 0, whose class gives the power interval S(2^k).
+    return _TERM_DIGIT[t][k & 1], (t - 1 if k & 1 else t + 1) % 6
+
+
 def _decomposition_step(t, d):
-    # d holds bits 2j+2 (high) and 2j+1 (low) of x, both landing in digit j;
-    # t is the running alternating exponent sum mod 6.  The leading bit
-    # sees t = 0, whose class gives the power interval S(2^k).
+    # d holds bits 2j+2 (high) and 2j+1 (low) of x, both landing in digit j,
+    # so each takes the rule of bit 2 or bit 1.
     c = 0
-    if d & 2:
-        c += _TERM_DIGIT[t][0]
-        t = (t + 1) % 6
-    if d & 1:
-        c += _TERM_DIGIT[t][1]
-        t = (t - 1) % 6
+    for k in (2, 1):
+        if d & k:
+            term, t = _bit_term(t, k)
+            c += term
     return t, c
 
 

@@ -41,12 +41,12 @@ def test_criterion_1_checkpoint_value():
     t_orc = time.perf_counter() - t0
     assert dec == rec == orc == 18261
 
-    terms = [v for _, v in core.decomposition_terms(500000)]
+    terms = [c * 3 ** j for _, c, j in core.decomposition_terms(500000)]
     assert terms == [2 * 3 ** 8, 0, 2 * 3 ** 7, 0, 3 ** 6, 3 ** 3, 3 ** 2]
     assert terms == [13122, 0, 4374, 0, 729, 27, 9]
 
-    pairs = core.recursion_trace(500000)
-    weighted = [3 ** k * c for k, (_, c) in enumerate(pairs)]
+    corrections = core.recursion_trace(500000)
+    weighted = [3 ** k * c for k, c in enumerate(corrections)]
     concluding = [t for t in reversed(weighted) if t != 0]
     assert concluding == [19683, -2187, 729, 27, 9]
 

@@ -268,7 +268,8 @@ def test_numpy_integers_accepted():
     assert core.classify_prefix(np.int64(2)) == 5
     assert core.decomposition_terms(np.int64(19)) == core.decomposition_terms(19)
     assert core.recursion_trace(np.int64(19)) == core.recursion_trace(19)
-    assert all(type(n) is int for n, _ in core.recursion_trace(np.int64(19)))
+    assert all(type(c) is int for c in core.recursion_trace(np.int64(19)))
+    assert all(type(c) is type(j) is int for _, c, j in core.decomposition_terms(np.int64(19)))
     assert core.residue_sum(2, np.int64(big)) == core.residue_sum(2, big)
     assert core.six_residue_sum(5, np.int64(big - 9), np.int64(big)) \
         == core.six_residue_sum(5, big - 9, big)

@@ -9,6 +9,7 @@ from decimal import Decimal
 import pytest
 
 import newmansum
+import walks
 from newmansum import analysis, cli, core
 
 
@@ -64,7 +65,7 @@ def test_eval_prints_values_past_str_limit(capsys):
     code, out, _ = invoke(["eval", "0x" + "f" * 5000], capsys)
     assert code == 0
     want = 0
-    for _, c in reversed(core.recursion_trace(N)):
+    for c in reversed(core.recursion_trace(N)):
         want = 3 * want + c
     assert Decimal(out) == Decimal(want)
     assert sys.get_int_max_str_digits() == limit
@@ -151,16 +152,16 @@ def _sum_line(terms, total) -> str:
 
 
 def _reference_trace(N, algorithm) -> str:
-    """The output of `eval N --trace`, rendered from core's int values
-    with one int->str per printed number."""
+    """The output of `eval N --trace`, rendered from the whole-integer
+    walks of both algorithms with one int->str per printed number."""
     value = core.newman_sum_recursive(N)
     lines = [value]
     if algorithm == "decomposition":
-        terms = core.decomposition_terms(N)
+        terms = walks.decomposition(N)
         lines += [f"{desc} = {v}" for desc, v in terms]
         lines.append(_sum_line([v for _, v in terms], value))
     else:
-        pairs = core.recursion_trace(N)
+        pairs = walks.recursion(N)
         lines += [f"S({Nk}) = 3*S({Nk // 4}) {'+' if c >= 0 else '-'} {abs(c)}"
                   for Nk, c in pairs]
         weighted = [3 ** k * c for k, (_, c) in enumerate(pairs)]
@@ -183,6 +184,26 @@ def test_eval_trace_matches_int_rendering(algorithm, capsys):
             ["eval", hex(N), "--algorithm", algorithm, "--trace"], capsys)
         assert (code, err) == (0, "")
         assert out == _reference_trace(N, algorithm), f"N={N}"
+
+
+@pytest.mark.parametrize("algorithm", ["recursive", "decomposition"])
+def test_eval_trace_memory(algorithm):
+    # Each line is written as it is made, so the trace of a 2^14-bit N
+    # (26 to 50 MB of text) holds no more than the terms' small
+    # coefficients and a few numbers at once.
+    def trace(N):
+        return cli.main(["eval", hex(N), "--algorithm", algorithm, "--trace"])
+
+    N = random.Random(2 ** 14).getrandbits(2 ** 14) | 1 << (2 ** 14 - 1)
+    with open(os.devnull, "w") as null, contextlib.redirect_stdout(null):
+        assert trace(63) == 0   # builds the tables the evaluators keep
+        tracemalloc.start()
+        try:
+            assert trace(N) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak < 4 * 2 ** 20, f"{peak / 2 ** 20:.2f} MiB"
 
 
 def test_eval_trace_usage_errors(capsys):

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import brute
+import walks
 from newmansum import core
 
 
@@ -161,7 +162,7 @@ def test_boundary_term_vs_brute(N):
 
 def test_decomposition_worked_example():
     assert core.newman_sum_decomposition(500000) == 18261
-    values = [v for _, v in core.decomposition_terms(500000)]
+    values = [c * 3 ** j for _, c, j in core.decomposition_terms(500000)]
     assert values == [13122, 0, 4374, 0, 729, 27, 9]
 
 
@@ -196,10 +197,10 @@ def test_recursive_worked_example():
     assert core.newman_sum_recursive(500000) == 18261
     assert core.newman_sum_recursive(0) == 0
     assert core.newman_sum_recursive(7) == 3
-    pairs = core.recursion_trace(500000)
-    assert pairs[0] == (500000, 0)
-    assert pairs[-1] == (1, 1)
-    weighted = [3 ** k * c for k, (_, c) in enumerate(pairs)]
+    corrections = core.recursion_trace(500000)
+    assert corrections[0] == 0
+    assert (500000 >> 2 * (len(corrections) - 1), corrections[-1]) == (1, 1)
+    weighted = [3 ** k * c for k, c in enumerate(corrections)]
     assert sum(weighted) == 18261
     assert [t for t in reversed(weighted) if t] == [19683, -2187, 729, 27, 9]
 
@@ -217,10 +218,16 @@ def test_algorithms_agree(x):
 
 @given(st.integers(min_value=0, max_value=1 << 128))
 def test_trace_terms_sum_to_value(x):
-    pairs = core.recursion_trace(x)
-    assert sum(3 ** k * c for k, (_, c) in enumerate(pairs)) == core.newman_sum_recursive(x)
+    corrections = core.recursion_trace(x)
+    assert sum(3 ** k * c for k, c in enumerate(corrections)) == core.newman_sum_recursive(x)
     terms = core.decomposition_terms(x)
-    assert sum(v for _, v in terms) == core.newman_sum_decomposition(x)
+    assert sum(c * 3 ** j for _, c, j in terms) == core.newman_sum_decomposition(x)
+    # term by term against the whole-integer walks, which must agree
+    levels = walks.recursion(x)
+    assert corrections == [c for _, c in levels]
+    bits = walks.decomposition(x)
+    assert [(desc, c * 3 ** j) for desc, c, j in terms] == bits
+    assert sum(3 ** k * c for k, (_, c) in enumerate(levels)) == sum(v for _, v in bits)
 
 
 @given(st.integers(min_value=1, max_value=1 << 128))
@@ -265,19 +272,7 @@ def _scalar_recursive(N):
 
 def _scalar_decomposition(x):
     """The decomposition one set bit at a time: the scan's reference."""
-    total = 0
-    t = 0
-    for i, k in enumerate(core.bit_exponents(x)):
-        if i == 0:
-            total += core.power_sum(k)
-        elif k == 0:
-            total += core.boundary_term(x)
-        else:
-            sign, form, parity = core._REDUCTION_TABLE[t % 6]
-            base = core.power_sum(k) if form == "power" else core.dyadic_sum(parity, k)
-            total += sign * base
-        t += 1 if k % 2 == 0 else -1
-    return total
+    return sum(v for _, v in walks.decomposition(x))
 
 
 @settings(max_examples=25)
@@ -292,9 +287,9 @@ def test_digit_scan_matches_scalar_loops(N):
 # an odd N past CPython's 4300-digit int->str limit
 @example((1 << 2 ** 14) - 1)
 def test_digit_scan_matches_traces(N):
-    want = _horner([c for _, c in core.recursion_trace(N)])
+    want = _horner(core.recursion_trace(N))
     assert core.newman_sum_recursive(N) == want
-    assert sum(v for _, v in core.decomposition_terms(N)) == want
+    assert sum(c * 3 ** j for _, c, j in core.decomposition_terms(N)) == want
     assert core.newman_sum_decomposition(N) == want
 
 
@@ -305,7 +300,7 @@ def test_crossover_boundary(bits):
     for N in (1 << (bits - 1), (1 << bits) - 1, rng.getrandbits(bits) | 1 << (bits - 1)):
         want = _scalar_recursive(N)
         assert _scalar_decomposition(N) == want
-        assert _horner([c for _, c in core.recursion_trace(N)]) == want
+        assert _horner(core.recursion_trace(N)) == want
         assert core.newman_sum_recursive(N) == want
         assert core.newman_sum_decomposition(N) == want
 
