@@ -12,9 +12,12 @@ upper) sit exactly on integer boundaries, so naive rounding there would
 be off by one.
 
 Sweeps go through one float evaluator, ``_bounds``, shared by
-``delta_record`` (so ``scan``) and ``bound_runs``, the walk over the
-value runs of both bounds that ``verify.bounds_sweep`` consumes.  For
-N <= 10^9 it takes the float power N**LAMBDA once and derives both bounds
+``delta_record`` (so ``scan``) and ``bound_blocks``, the walk over the
+4-adic blocks of the recursion transducer that ``verify.bounds_sweep``
+consumes: a block's least and greatest S come from a min/max dynamic
+program over the transducer's states, and a block whose extremes clear
+both bounds at its ends clears them at every N in it.  For N <= 10^9
+``_bounds`` takes the float power N**LAMBDA once and derives both bounds
 and delta = S/N^lam from it.  A bound escalates to the exact function only
 when its float lies within 1e-6 of an integer, and delta's 12-digit text
 escalates to ``format_significant(delta(N, S), 12)`` only when the float
@@ -36,7 +39,7 @@ from operator import index
 
 from mpmath import mp
 
-from .core import newman_sum_recursive, thue_morse_sign
+from .core import _recursion_step, newman_sum_recursive, thue_morse_sign
 
 __all__ = [
     "LAMBDA",
@@ -55,7 +58,7 @@ __all__ = [
     "eta_half",
     "DeltaRecord",
     "delta_record",
-    "bound_runs",
+    "bound_blocks",
     "extremal_sequences",
     "scan",
     "EtaRow",
@@ -238,44 +241,77 @@ def _bounds(N: int):
     return lo, hi, p
 
 
-def _run_end(start: int, stop: int, which: int, value: int, guess: float) -> int:
-    """The first N in (start, stop) where bound ``which`` (0 lower, 1
-    upper) of ``_bounds`` exceeds ``value``, else stop.  The bound is
-    nondecreasing, so the guess only moves the search's start."""
-    N = min(max(math.ceil(guess), start + 1), stop)
-    while N < stop and _bounds(N)[which] <= value:
-        N += 1
-    while N - 1 > start and _bounds(N - 1)[which] > value:
-        N -= 1
-    return N
+def _steps():
+    """``_recursion_step`` as a table, [s][d] = (next state, c), read from
+    the correction table as it is now."""
+    return [[_recursion_step(s, d) for d in range(4)] for s in range(12)]
 
 
-def bound_runs(stop: int):
-    """Yield (a, b, lower, upper) for runs [a, b) covering 1 <= N < stop
-    on which both sharp bounds are constant, in ascending order.
+def _extremes(steps, levels: int):
+    """Tables lo, hi with lo[j][s] and hi[j][s] the min and max over
+    0 <= r < 4^j of T_j(s, r), for j = 0..levels and the 12 states s of
+    ``core._recursion_step``.
 
-    N = 1 is a run of its own, having no upper bound.  Both bounds grow by
-    less than 1 per step in N (their slopes are below 0.5 for N >= 1), so
-    each run's bound is the last one's plus 1.  Each run end is guessed by
-    inverting the float formula (lower >= k from _C_LO * N^lam >= k, upper
-    > k from _C_HI * N^lam > k) and confirmed at N-1 and N by ``_bounds``.
+    T_j(s, r) sums the outputs 3^i * c_i of the transducer ``steps`` (a
+    ``_steps()`` table) reading r's j base-4 digits from the top, starting
+    in state s.  The top digit d is read first and weighs 3^(j-1), so
+    lo[j][s] = min over d of 3^(j-1) * c(s, d) + lo[j-1][s'(s, d)].
     """
-    lo, hi, _ = _bounds(1)
-    yield 1, 2, lo, hi
-    lo, hi, _ = _bounds(2)
-    a = lo_end = hi_end = 2
-    while a < stop:
-        if a == lo_end:
-            lo_end = _run_end(a, stop, 0, lo, ((lo + 1) / _C_LO) ** (1 / LAMBDA))
-        if a == hi_end:
-            hi_end = _run_end(a, stop, 1, hi, (hi / _C_HI) ** (1 / LAMBDA))
-        b = min(lo_end, hi_end)
-        yield a, b, lo, hi
-        if b == lo_end:
-            lo += 1
-        if b == hi_end:
-            hi += 1
-        a = b
+    lo, hi = [[0] * 12], [[0] * 12]
+    for j in range(1, levels + 1):
+        w = 3 ** (j - 1)
+        lo.append([min(w * c + lo[-1][t] for t, c in row) for row in steps])
+        hi.append([max(w * c + hi[-1][t] for t, c in row) for row in steps])
+    return lo, hi
+
+
+def bound_blocks(max_n: int):
+    """Yield (a, b, smin, smax) for 4-adic blocks [a, b) covering
+    1 <= N <= max_n in ascending order, smin and smax being the least and
+    the greatest S_{3,0}(N) on the block by the recursion.
+
+    A block is [m*4^j, (m+1)*4^j), on which S(N) = 3^j*S(m) + T_j(s_m, r)
+    for N = m*4^j + r, s_m the recursion's state after m's digits; so its
+    extremes are 3^j*S(m) plus the ``_extremes`` of T_j from s_m.  The
+    walk starts from the block of m = 0 that covers max_n and carries
+    (S(m), s_m) down each split.  A block is yielded whole when it lies in
+    [2, max_n] and clears both sharp bounds and Newman's inequality
+    strictly at every N:
+
+        smin > lower(b-1),  smax < upper(a),
+        smin / (b-1)^lam > 1/20  and  smax / a^lam < 5,
+
+    which suffices as both bounds and N^lam are nondecreasing.  Any other
+    block splits into its four children, down to single N (b = a + 1,
+    smin = smax = S(a)), where a bound may be attained or violated.
+    """
+    max_n = index(max_n)
+    if max_n < 1:
+        raise ValueError("bound_blocks needs max_n >= 1")
+    levels = (max_n.bit_length() + 1) // 2      # 4^levels > max_n
+    steps = _steps()
+    lo, hi = _extremes(steps, levels)
+    stack = [(0, levels, 0, 0)]                 # (m, j, S(m), s_m), next last
+    while stack:
+        m, j, S, s = stack.pop()
+        a = m << 2 * j
+        b = a + (1 << 2 * j)
+        if j == 0:
+            if a >= 1:
+                yield a, b, S, S
+            continue
+        if a >= 2 and b <= max_n + 1:
+            smin = 3 ** j * S + lo[j][s]
+            smax = 3 ** j * S + hi[j][s]
+            if (smin > _bounds(b - 1)[0] and smax < _bounds(a)[1]
+                    and smin / (b - 1) ** LAMBDA > 0.05 and smax / a ** LAMBDA < 5.0):
+                yield a, b, smin, smax
+                continue
+        width = 1 << 2 * (j - 1)
+        for d in range(3, -1, -1):
+            if a + d * width <= max_n:
+                t, c = steps[s][d]
+                stack.append((4 * m + d, j - 1, 3 * S + c, t))
 
 
 def _delta_text(d: float) -> str | None:

@@ -9,15 +9,15 @@ identities, and the residue-class combinations.
 
 ``bounds_sweep`` checks the sharp bounds floor(2*(N/6)^lam) <= S_{3,0}(N)
 <= ceil((55/3)*(N/65)^lam) and Newman's inequality over a full range.
-Both bounds are nondecreasing in N, so the sweep consumes their value
-runs from ``analysis.bound_runs`` rather than visiting every N; the runs
-come from the float evaluator of :mod:`newmansum.analysis`, which
-escalates to the exact bound functions near an integer.  A run is
-checked by the minimum and maximum of its S values, and read entry by
-entry only when one of them touches or crosses a bound, which is where
-violations and attainments are recorded.
-Newman's inequality is checked per run the same way, from the run's
-extremes against its end points.
+It walks the 4-adic blocks of ``analysis.bound_blocks`` rather than
+visiting every N: the recursion's least and greatest S on each block clear
+both bounds and Newman's inequality strictly, or the block is a single N.
+One pass over the oracle prefix takes each block's minimum and maximum.
+Where they equal the recursion's, the block holds no violation and no
+attainment; where they differ, or the block is a single N, its entries
+are read one by one, and an entry that differs from the recursion is
+reported as a recursion mismatch.  So the recursion is checked against
+the oracle on every block.
 """
 
 from dataclasses import dataclass, field
@@ -114,8 +114,8 @@ class BoundsReport:
 
 
 def _spot_check(rep: BoundsReport, N: int, S: int, lo: int, hi) -> None:
-    """Cross-check S against the recursion and the run's bounds against
-    the exact bound functions."""
+    """Cross-check S against the recursion and the float evaluator's
+    bounds lo, hi at N against the exact bound functions."""
     rep.checks += 2
     if core.newman_sum_recursive(N) != S:
         rep.bound_violations.append((N, S, "recursion-mismatch", None))
@@ -127,42 +127,47 @@ def bounds_sweep(max_n: int, prefix=None, spot_step: int = 9973) -> BoundsReport
     """Verify the sharp bounds and Newman's inequality for 1 <= N <= max_n.
 
     S values come from the enumeration oracle (pass ``prefix`` to reuse an
-    existing ``oracle_prefix(3, 0, max_n)`` array); every spot_step-th N
-    additionally cross-checks the recursion and the exact bound functions
-    against the run walk.
+    existing ``oracle_prefix(3, 0, max_n)`` array or list).  Each block of
+    ``analysis.bound_blocks`` has the oracle's extremes checked against the
+    recursion's; every entry of a single-N or disagreeing block is checked
+    on its own, and every spot_step-th N additionally cross-checks the
+    recursion and the exact bound functions.
     """
     if max_n < 2:
         raise ValueError("bounds_sweep needs max_n >= 2")
     if prefix is None:
         prefix = oracle.oracle_prefix(3, 0, max_n)
+    try:
+        view = memoryview(prefix)       # slices of an array without a copy
+    except TypeError:                   # a list
+        view = prefix
     lam = analysis.LAMBDA
     rep = BoundsReport(max_n)
-    for a, b, lo, hi in analysis.bound_runs(max_n + 1):
-        run = prefix[a:b]
-        low, high = min(run), max(run)
+    for a, b, smin, smax in analysis.bound_blocks(max_n):
         rep.checks += 2 * (b - a)
-        if hi is None or low <= lo or high >= hi:
-            for N in range(a, b):
-                S = prefix[N]
-                if S < lo or (hi is not None and S > hi):
-                    rep.bound_violations.append((N, S, lo, hi))
-                if hi is not None:      # attainment is recorded from N = 2
-                    if S == lo:
-                        rep.lower_attained.append(N)
-                    if S == hi:
-                        rep.upper_attained.append(N)
-                if N % spot_step == 0:
-                    _spot_check(rep, N, S, lo, hi)
-        else:
-            for N in range(a + -a % spot_step, b, spot_step):
-                _spot_check(rep, N, prefix[N], lo, hi)
-
-        # Newman's inequality 1/20 < S * N^-lam < 5; the ratio never comes
-        # within 0.3 of either endpoint, so float precision is ample, and
-        # the run's extremes over its end points bound every ratio in it.
-        if not (low / (b - 1) ** lam > 0.05 and high / a ** lam < 5.0):
-            for N in range(a, b):
-                if not 0.05 < prefix[N] / N ** lam < 5.0:
-                    rep.newman_violations.append(N)
+        if b - a > 1:
+            block = view[a:b]
+            if min(block) == smin and max(block) == smax:
+                for N in range(a + -a % spot_step, b, spot_step):
+                    _spot_check(rep, N, view[N], *analysis._bounds(N)[:2])
+                continue
+        for N in range(a, b):   # a single N, or a block the oracle disagrees on
+            S = view[N]
+            if S != (smin if b - a == 1 else core.newman_sum_recursive(N)):
+                rep.bound_violations.append((N, S, "recursion-mismatch", None))
+            lo, hi, _ = analysis._bounds(N)
+            if S < lo or (hi is not None and S > hi):
+                rep.bound_violations.append((N, S, lo, hi))
+            if hi is not None:      # attainment is recorded from N = 2
+                if S == lo:
+                    rep.lower_attained.append(N)
+                if S == hi:
+                    rep.upper_attained.append(N)
+            # Newman's inequality 1/20 < S * N^-lam < 5; the ratio never
+            # comes within 0.3 of either endpoint, so a float is ample
+            if not 0.05 < S / N ** lam < 5.0:
+                rep.newman_violations.append(N)
+            if N % spot_step == 0:
+                _spot_check(rep, N, S, lo, hi)
 
     return rep

@@ -100,7 +100,7 @@ def test_criterion_4_sharp_bounds_to_1e6():
     assert core.newman_sum_recursive(67) == analysis.upper_bound(67)
 
     # exercise the exact high-precision bound functions directly on a
-    # subrange.  The sweep's run walk cross-checks them every 9973rd N
+    # subrange.  The sweep's block walk cross-checks them every 9973rd N
     # over the full million; test_analysis checks the float evaluator
     # behind the walk and scan against them at every N up to 5002, every
     # 7th N up to 20002, around 10^9 and on the families 6*4^k and 260*4^k.

@@ -4,7 +4,7 @@ import pytest
 from mpmath import mp
 
 import brute
-from newmansum import analysis, core
+from newmansum import analysis, core, verify
 
 
 def test_growth_exponent_bracket():
@@ -108,6 +108,56 @@ def test_guard_handles_huge_arguments():
     for N in ns:
         assert analysis.lower_bound(N) == _reference_bound(N, True), N
         assert analysis.upper_bound(N) == _reference_bound(N, False), N
+
+
+def test_block_extremes_match_brute_min_max():
+    # S(m*4^j + r) = 3^j*S(m) + T_j(s_m, r): the min and max of T_j from
+    # bound_blocks' dynamic program, shifted by 3^j*S(m), must be the
+    # brute min and max of S over the whole block
+    pref = brute.prefix(3, 0, 64 * 4 ** 6)
+    steps = analysis._steps()
+    lo, hi = analysis._extremes(steps, 6)
+    for m in range(64):
+        s = S = 0
+        for k in range(2 * (m.bit_length() // 2), -1, -2):
+            s, c = steps[s][m >> k & 3]
+            S = 3 * S + c
+        assert S == pref[m]
+        for j in range(7):
+            block = pref[m * 4 ** j:(m + 1) * 4 ** j]
+            assert 3 ** j * S + lo[j][s] == min(block), (m, j)
+            assert 3 ** j * S + hi[j][s] == max(block), (m, j)
+
+
+def test_bound_blocks_certify_the_bounds_to_2_64():
+    # Every N off the single-N blocks clears both bounds strictly, so the
+    # single-N blocks, with S from the recursion, hold every attainment
+    # below 2^64: these two families and nothing else
+    lower, upper = [], []
+    stop = 1
+    for a, b, smin, smax in analysis.bound_blocks(2 ** 64):
+        assert a == stop
+        stop = b
+        if b - a > 1:
+            continue
+        lo = analysis.lower_bound(a)
+        assert lo <= smin, a
+        if a >= 2:
+            hi = analysis.upper_bound(a)
+            assert smin <= hi, a
+            if smin == lo:
+                lower.append(a)
+            if smin == hi:
+                upper.append(a)
+    assert stop == 2 ** 64 + 1
+    assert lower == sorted([3] + [6 * 4 ** k for k in range(31)])
+    assert upper == sorted({19, 67} | {260 * 4 ** k - d for k in range(28) for d in (0, 1)}
+                           | {272 * 4 ** k - 1 for k in range(4)})
+    assert (len(lower), len(upper)) == (32, 62)
+
+    rep = verify.bounds_sweep(10 ** 6)
+    assert rep.lower_attained == [N for N in lower if N <= 10 ** 6]
+    assert rep.upper_attained == [N for N in upper if N <= 10 ** 6]
 
 
 def test_bounds_hold_pointwise_small():

@@ -49,9 +49,24 @@ def test_bounds_sweep_catches_injected_fault():
     assert rep.bound_violations[0][0] == 50
 
 
+def test_bounds_sweep_reports_corrupted_recursion(corrupt_correction):
+    # negative control: with c(N) negated for N = 15 (mod 24) the
+    # recursion disagrees with the oracle long before the first spot check
+    # at 9973; the blocks' extremes must show it.  The attainment lists
+    # are the clean run's of test_bounds_sweep_small_range
+    rep = verify.bounds_sweep(1100)
+    assert not rep.ok
+    assert (15, 5, "recursion-mismatch", None) in rep.bound_violations
+    assert all(v[2] == "recursion-mismatch" for v in rep.bound_violations)
+    assert rep.newman_violations == []
+    assert rep.lower_attained == [3, 6, 24, 96, 384]
+    assert rep.upper_attained == [19, 67, 259, 260, 271, 1039, 1040, 1087]
+
+
 def _per_n_sweep(max_n, prefix, spot_step=9973):
-    """The sweep as a loop over every N with its own float bounds: the
-    reference for bounds_sweep's run walk."""
+    """The sweep as a loop over every N with its own float bounds, checking
+    each prefix entry against the recursion: the reference for
+    bounds_sweep's walk over the blocks of analysis.bound_blocks."""
     lam = analysis.LAMBDA
     rep = verify.BoundsReport(max_n)
     for N in range(1, max_n + 1):
@@ -63,6 +78,8 @@ def _per_n_sweep(max_n, prefix, spot_step=9973):
             hi = math.ceil(v) if abs(v - round(v)) > 1e-6 else analysis.upper_bound(N)
         else:
             hi = None
+        if core.newman_sum_recursive(N) != S:
+            rep.bound_violations.append((N, S, "recursion-mismatch", None))
         rep.checks += 1
         if S < lo or (hi is not None and S > hi):
             rep.bound_violations.append((N, S, lo, hi))
@@ -98,19 +115,6 @@ def test_run_walk_spot_checks_inside_and_outside_scanned_runs():
     assert verify.bounds_sweep(1100, prefix, spot_step=7) == _per_n_sweep(1100, prefix, 7)
 
 
-@pytest.mark.parametrize("which", [0, 1])
-def test_run_end_confirms_any_guess(which):
-    starts = 0
-    for N in range(3, 1101):
-        value = analysis._bounds(N - 1)[which]
-        if analysis._bounds(N)[which] > value:      # a run starts at N
-            starts += 1
-            for guess in (N - 2, N, N + 0.5, N + 3):
-                assert analysis._run_end(N - 1, 1101, which, value, guess) == N
-            assert analysis._run_end(N - 1, N, which, value, N + 3) == N   # stop
-    assert starts > 100
-
-
 def _lower_run_start(lo, hi):
     """The first N in (lo, hi] where the lower bound steps up."""
     return next(N for N in range(lo + 1, hi + 1)
@@ -138,10 +142,11 @@ def test_run_walk_reports_injected_faults(where):
     assert rep == _per_n_sweep(1000, prefix)
     lo = analysis.lower_bound(N)
     hi = analysis.upper_bound(N)
+    mismatch = (N, S, "recursion-mismatch", None)
     if where == "newman-only":
-        assert rep.bound_violations == []
+        assert rep.bound_violations == [mismatch]
         assert 2 in rep.lower_attained
     else:
-        assert rep.bound_violations == [(N, S, lo, hi)]
+        assert rep.bound_violations == [mismatch, (N, S, lo, hi)]
     assert rep.newman_violations == ([N] if where in ("newman-only", "zero") else [])
     assert not rep.ok
