@@ -16,13 +16,13 @@ Sweeps go through one float evaluator, ``_bounds``, shared by
 4-adic blocks of the recursion transducer that ``verify.bounds_sweep``
 consumes: a block's least and greatest S come from a min/max dynamic
 program over the transducer's states, and a block whose extremes clear
-both bounds at its ends clears them at every N in it.  For N <= 10^9
-``_bounds`` takes the float power N**LAMBDA once and derives both bounds
-and delta = S/N^lam from it.  A bound escalates to the exact function only
-when its float lies within 1e-6 of an integer, and delta's 12-digit text
-escalates to ``format_significant(delta(N, S), 12)`` only when the float
-could round differently from the exact value.  Past 10^9 every value is
-exact.
+both bounds at its ends clears them, and Newman's looser inequality, at
+every N in it.  For N <= 10^9 ``_bounds`` takes the float power N**LAMBDA
+once and derives both bounds and delta = S/N^lam from it.  A bound
+escalates to the exact function only when its float lies within 1e-6 of
+an integer, and delta's 12-digit text escalates to
+``format_significant(delta(N, S))`` only when the float could round
+differently from the exact value.  Past 10^9 every value is exact.
 
 The sharp constants are never hard-coded as decimals; they are evaluated
 on demand from their closed forms:
@@ -39,7 +39,7 @@ from operator import index
 
 from mpmath import mp
 
-from .core import _recursion_step, newman_sum_recursive, thue_morse_sign
+from .core import _recursion_step, _step_table, newman_sum_recursive, thue_morse_sign
 
 __all__ = [
     "LAMBDA",
@@ -241,23 +241,17 @@ def _bounds(N: int):
     return lo, hi, p
 
 
-def _steps():
-    """``_recursion_step`` as a table, [s][d] = (next state, c), read from
-    the correction table as it is now."""
-    return [[_recursion_step(s, d) for d in range(4)] for s in range(12)]
-
-
 def _extremes(steps, levels: int):
     """Tables lo, hi with lo[j][s] and hi[j][s] the min and max over
-    0 <= r < 4^j of T_j(s, r), for j = 0..levels and the 12 states s of
-    ``core._recursion_step``.
+    0 <= r < 4^j of T_j(s, r), for j = 0..levels and every state s of
+    ``steps``, a ``core._step_table`` of the recursion.
 
-    T_j(s, r) sums the outputs 3^i * c_i of the transducer ``steps`` (a
-    ``_steps()`` table) reading r's j base-4 digits from the top, starting
-    in state s.  The top digit d is read first and weighs 3^(j-1), so
+    T_j(s, r) sums the outputs 3^i * c_i of the transducer ``steps``
+    reading r's j base-4 digits from the top, starting in state s.  The top
+    digit d is read first and weighs 3^(j-1), so
     lo[j][s] = min over d of 3^(j-1) * c(s, d) + lo[j-1][s'(s, d)].
     """
-    lo, hi = [[0] * 12], [[0] * 12]
+    lo, hi = [[0] * len(steps)], [[0] * len(steps)]
     for j in range(1, levels + 1):
         w = 3 ** (j - 1)
         lo.append([min(w * c + lo[-1][t] for t, c in row) for row in steps])
@@ -275,21 +269,22 @@ def bound_blocks(max_n: int):
     extremes are 3^j*S(m) plus the ``_extremes`` of T_j from s_m.  The
     walk starts from the block of m = 0 that covers max_n and carries
     (S(m), s_m) down each split.  A block is yielded whole when it lies in
-    [2, max_n] and clears both sharp bounds and Newman's inequality
-    strictly at every N:
+    [2, max_n] and clears both sharp bounds strictly at every N:
 
-        smin > lower(b-1),  smax < upper(a),
-        smin / (b-1)^lam > 1/20  and  smax / a^lam < 5,
+        smin > lower(b-1)  and  smax < upper(a),
 
-    which suffices as both bounds and N^lam are nondecreasing.  Any other
-    block splits into its four children, down to single N (b = a + 1,
-    smin = smax = S(a)), where a bound may be attained or violated.
+    which suffices as both bounds are nondecreasing.  For integer S,
+    S > floor(v) gives S > v and S < ceil(v) gives S < v, so such a block
+    has 2/6^lam < S*N^-lam < 55/(3*65^lam), 0.483... and 0.671..., and
+    clears Newman's 1/20 < S*N^-lam < 5 too.  Any other block splits into
+    its four children, down to single N (b = a + 1, smin = smax = S(a)),
+    where a bound may be attained or violated.
     """
     max_n = index(max_n)
     if max_n < 1:
         raise ValueError("bound_blocks needs max_n >= 1")
     levels = (max_n.bit_length() + 1) // 2      # 4^levels > max_n
-    steps = _steps()
+    steps = _step_table(_recursion_step)
     lo, hi = _extremes(steps, levels)
     stack = [(0, levels, 0, 0)]                 # (m, j, S(m), s_m), next last
     while stack:
@@ -303,8 +298,7 @@ def bound_blocks(max_n: int):
         if a >= 2 and b <= max_n + 1:
             smin = 3 ** j * S + lo[j][s]
             smax = 3 ** j * S + hi[j][s]
-            if (smin > _bounds(b - 1)[0] and smax < _bounds(a)[1]
-                    and smin / (b - 1) ** LAMBDA > 0.05 and smax / a ** LAMBDA < 5.0):
+            if smin > _bounds(b - 1)[0] and smax < _bounds(a)[1]:
                 yield a, b, smin, smax
                 continue
         width = 1 << 2 * (j - 1)
@@ -315,7 +309,7 @@ def bound_blocks(max_n: int):
 
 
 def _delta_text(d: float) -> str | None:
-    """``format_significant(delta, 12)`` from a float d within _DELTA_ERR
+    """``format_significant(delta)`` from a float d within _DELTA_ERR
     relative of delta, or None where d cannot tell.
 
     Rounding is monotone, so if both ends of d's error interval print
@@ -357,10 +351,10 @@ def delta_record(N: int) -> DeltaRecord:
     lo, hi, p = _bounds(N)
     if p is None:
         d = delta(N, S)
-        text = format_significant(d, 12)
+        text = format_significant(d)
     else:
         d = S / p
-        text = _delta_text(d) or format_significant(delta(N, S), 12)
+        text = _delta_text(d) or format_significant(delta(N, S))
     ok = lo <= S and (hi is None or S <= hi)
     return DeltaRecord(N, S, d, text, lo, hi, ok)
 
@@ -420,8 +414,8 @@ def eta_rows(x_max: int) -> list:
     return [eta_row(x) for x in range(1, x_max + 1, 2)]
 
 
-def format_significant(value, digits: int = 12) -> str:
-    """Decimal string of an mpf with the given significant digits, no
-    exponent notation for the magnitudes a scan produces."""
+def format_significant(value) -> str:
+    """Decimal string of an mpf to 12 significant digits, no exponent
+    notation for the magnitudes a scan produces."""
     with mp.workdps(_DPS):
-        return mp.nstr(mp.mpf(value), digits)
+        return mp.nstr(mp.mpf(value), 12)

@@ -244,9 +244,9 @@ def _cmd_eta(args) -> int:
     return 0
 
 
-def _best_of(fn, repeats: int = 5) -> float:
+def _best_of(fn) -> float:
     best = None
-    for _ in range(repeats):
+    for _ in range(5):
         t0 = time.perf_counter()
         fn()
         dt = time.perf_counter() - t0

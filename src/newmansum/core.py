@@ -356,16 +356,25 @@ def _assemble(digits) -> int:
     return limbs[0]
 
 
+def _step_table(step) -> list:
+    """``step(state, base-4 digit) -> (state, base-3 digit)`` as a table
+    [state][digit], states 0 to the largest reached, from step's tables now."""
+    table = []
+    while len(table) <= max((t for row in table for t, _ in row), default=0):
+        table.append([step(len(table), d) for d in range(4)])
+    return table
+
+
 @cache
-def _byte_table(states: int, step) -> tuple:
-    """Extend ``step(state, base-4 digit) -> (state, base-3 digit)`` to bytes.
+def _byte_table(step) -> tuple:
+    """Extend ``step`` to bytes.
 
     Built once per step function.  Returns arrays indexed by
     ``state << 8 | byte``: the state after the byte, shifted left by 8, and
     the byte's four output digits as one radix-81 digit
     d0 + 3*d1 + 9*d2 + 27*d3, d0 from the lowest bits.
     """
-    table = [[step(state, d) for d in range(4)] for state in range(states)]
+    table = _step_table(step)
     for shift in (3, 9):   # one digit to two, two to four: the high part first
         table = [[(s2, lo + shift * hi) for s1, hi in row for s2, lo in table[s1]]
                  for row in table]
@@ -400,7 +409,7 @@ def _recursion_step(state, d):
 
 def _recursion_digits(N: int) -> list:
     """The recursion's digits c(N >> 2k) in radix 81, from one scan of N."""
-    return _scan(N, _byte_table(12, _recursion_step))
+    return _scan(N, _byte_table(_recursion_step))
 
 
 # Coefficient of 3^j in the decomposition term of a set bit k >= 1 with
@@ -433,7 +442,7 @@ def _decomposition_step(t, d):
 def _decomposition_digits(x: int) -> list:
     """The decomposition's terms of x as digits in radix 81, from one scan
     of x >> 1 plus the boundary term (S([0, 1)) = 1 for x = 1)."""
-    digits = _scan(x >> 1, _byte_table(6, _decomposition_step)) or [0]
+    digits = _scan(x >> 1, _byte_table(_decomposition_step)) or [0]
     if x & 1:
         digits[0] += boundary_term(x)
     return digits

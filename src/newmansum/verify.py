@@ -11,13 +11,12 @@ identities, and the residue-class combinations.
 <= ceil((55/3)*(N/65)^lam) and Newman's inequality over a full range.
 It walks the 4-adic blocks of ``analysis.bound_blocks`` rather than
 visiting every N: the recursion's least and greatest S on each block clear
-both bounds and Newman's inequality strictly, or the block is a single N.
-One pass over the oracle prefix takes each block's minimum and maximum.
-Where they equal the recursion's, the block holds no violation and no
-attainment; where they differ, or the block is a single N, its entries
-are read one by one, and an entry that differs from the recursion is
-reported as a recursion mismatch.  So the recursion is checked against
-the oracle on every block.
+both bounds strictly, and with them Newman's inequality, or the block is
+a single N.  One pass over the oracle prefix takes each block's minimum
+and maximum.  Where they equal the recursion's, the block holds no
+violation and no attainment; where they differ, or the block is a single
+N, each entry is read and compared with the recursion once.  So the
+recursion is checked against the oracle on every block.
 """
 
 from dataclasses import dataclass, field
@@ -113,6 +112,9 @@ class BoundsReport:
         return not self.bound_violations and not self.newman_violations
 
 
+_SPOT_STEP = 9973   # every _SPOT_STEP-th N has a _spot_check
+
+
 def _spot_check(rep: BoundsReport, N: int, S: int, lo: int, hi) -> None:
     """Cross-check S against the recursion and the float evaluator's
     bounds lo, hi at N against the exact bound functions."""
@@ -123,24 +125,17 @@ def _spot_check(rep: BoundsReport, N: int, S: int, lo: int, hi) -> None:
         rep.bound_violations.append((N, S, "fast-path-mismatch", None))
 
 
-def bounds_sweep(max_n: int, prefix=None, spot_step: int = 9973) -> BoundsReport:
+def bounds_sweep(max_n: int) -> BoundsReport:
     """Verify the sharp bounds and Newman's inequality for 1 <= N <= max_n.
 
-    S values come from the enumeration oracle (pass ``prefix`` to reuse an
-    existing ``oracle_prefix(3, 0, max_n)`` array or list).  Each block of
+    S values come from the enumeration oracle.  Each block of
     ``analysis.bound_blocks`` has the oracle's extremes checked against the
     recursion's; every entry of a single-N or disagreeing block is checked
-    on its own, and every spot_step-th N additionally cross-checks the
-    recursion and the exact bound functions.
+    on its own, against the recursion once among the rest.
     """
     if max_n < 2:
         raise ValueError("bounds_sweep needs max_n >= 2")
-    if prefix is None:
-        prefix = oracle.oracle_prefix(3, 0, max_n)
-    try:
-        view = memoryview(prefix)       # slices of an array without a copy
-    except TypeError:                   # a list
-        view = prefix
+    view = memoryview(oracle.oracle_prefix(3, 0, max_n))   # slices without a copy
     lam = analysis.LAMBDA
     rep = BoundsReport(max_n)
     for a, b, smin, smax in analysis.bound_blocks(max_n):
@@ -148,14 +143,16 @@ def bounds_sweep(max_n: int, prefix=None, spot_step: int = 9973) -> BoundsReport
         if b - a > 1:
             block = view[a:b]
             if min(block) == smin and max(block) == smax:
-                for N in range(a + -a % spot_step, b, spot_step):
+                for N in range(a + -a % _SPOT_STEP, b, _SPOT_STEP):
                     _spot_check(rep, N, view[N], *analysis._bounds(N)[:2])
                 continue
         for N in range(a, b):   # a single N, or a block the oracle disagrees on
             S = view[N]
-            if S != (smin if b - a == 1 else core.newman_sum_recursive(N)):
-                rep.bound_violations.append((N, S, "recursion-mismatch", None))
             lo, hi, _ = analysis._bounds(N)
+            if N % _SPOT_STEP == 0:
+                _spot_check(rep, N, S, lo, hi)
+            elif core.newman_sum_recursive(N) != S:
+                rep.bound_violations.append((N, S, "recursion-mismatch", None))
             if S < lo or (hi is not None and S > hi):
                 rep.bound_violations.append((N, S, lo, hi))
             if hi is not None:      # attainment is recorded from N = 2
@@ -167,7 +164,5 @@ def bounds_sweep(max_n: int, prefix=None, spot_step: int = 9973) -> BoundsReport
             # comes within 0.3 of either endpoint, so a float is ample
             if not 0.05 < S / N ** lam < 5.0:
                 rep.newman_violations.append(N)
-            if N % spot_step == 0:
-                _spot_check(rep, N, S, lo, hi)
 
     return rep

@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import HealthCheck, settings
 
-from newmansum import core
+from newmansum import core, oracle
 
 settings.register_profile(
     "suite",
@@ -22,3 +22,19 @@ def corrupt_correction(monkeypatch):
     core._byte_table.cache_clear()
     yield
     core._byte_table.cache_clear()
+
+
+@pytest.fixture
+def faulty_oracle(monkeypatch):
+    """A function that takes {N: S} and, for one test, makes
+    ``oracle.oracle_prefix`` set entry N to S in each array it returns."""
+    real = oracle.oracle_prefix
+
+    def inject(faults):
+        def prefix(modulus, residue, limit):
+            out = real(modulus, residue, limit)
+            for N, S in faults.items():
+                out[N] = S
+            return out
+        monkeypatch.setattr(oracle, "oracle_prefix", prefix)
+    return inject

@@ -115,7 +115,7 @@ def test_block_extremes_match_brute_min_max():
     # bound_blocks' dynamic program, shifted by 3^j*S(m), must be the
     # brute min and max of S over the whole block
     pref = brute.prefix(3, 0, 64 * 4 ** 6)
-    steps = analysis._steps()
+    steps = core._step_table(core._recursion_step)
     lo, hi = analysis._extremes(steps, 6)
     for m in range(64):
         s = S = 0
@@ -127,6 +127,20 @@ def test_block_extremes_match_brute_min_max():
             block = pref[m * 4 ** j:(m + 1) * 4 ** j]
             assert 3 ** j * S + lo[j][s] == min(block), (m, j)
             assert 3 ** j * S + hi[j][s] == max(block), (m, j)
+
+
+def test_whole_blocks_clear_newman_inequality():
+    # bound_blocks tests only the sharp bounds; they imply Newman's
+    # 1/20 < S*N^-lam < 5 on every whole block, at both of its ends
+    lam = analysis.growth_exponent()
+    whole = 0
+    with mp.workdps(40):
+        for a, b, smin, smax in analysis.bound_blocks(10 ** 6):
+            if b - a > 1:
+                whole += 1
+                assert smin * mp.mpf(b - 1) ** -lam > mp.mpf(1) / 20, (a, b)
+                assert smax * mp.mpf(a) ** -lam < 5, (a, b)
+    assert whole > 0
 
 
 def test_bound_blocks_certify_the_bounds_to_2_64():
@@ -250,7 +264,7 @@ def _exact_row(N):
     float evaluator behind delta_record."""
     S = core.newman_sum_recursive(N)
     d = analysis.delta(N, S)
-    return d, (N, S, analysis.format_significant(d, 12),
+    return d, (N, S, analysis.format_significant(d),
                analysis.lower_bound(N), analysis.upper_bound(N) if N >= 2 else None)
 
 
@@ -302,8 +316,8 @@ def test_extremal_sequences():
 
 
 def test_format_significant():
-    assert analysis.format_significant(analysis.delta(6), 12) == "0.483459078354"
-    assert analysis.format_significant(analysis.delta(1), 12) == "1.0"
+    assert analysis.format_significant(analysis.delta(6)) == "0.483459078354"
+    assert analysis.format_significant(analysis.delta(1)) == "1.0"
 
 
 def test_numpy_integers_accepted():

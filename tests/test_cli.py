@@ -10,7 +10,7 @@ import pytest
 
 import newmansum
 import walks
-from newmansum import analysis, cli, core
+from newmansum import analysis, cli, core, oracle
 
 
 def invoke(argv, capsys):
@@ -369,6 +369,16 @@ def test_bounds_output(capsys):
 
 def test_bounds_usage(capsys):
     assert invoke(["bounds", "--max", "1"], capsys)[0] == 64
+
+
+def test_bounds_counts_one_oracle_fault_once(capsys, faulty_oracle):
+    # 9973 is a spot-check point in a block the fault makes the sweep read
+    # entry by entry; its one recursion mismatch is one violation
+    faulty_oracle({9973: oracle.oracle_sum(3, 0, 9973) + 3})
+    code, out, _ = invoke(["bounds", "--max", "20000"], capsys)
+    assert code == 1
+    assert "bound violations: 1\n" in out
+    assert "first violation: N=9973\n" in out
 
 
 # ------------------------------------------------------------------- eta

@@ -38,13 +38,10 @@ def test_bounds_sweep_small_range():
         verify.bounds_sweep(1)
 
 
-def test_bounds_sweep_catches_injected_fault():
+def test_bounds_sweep_catches_injected_fault(faulty_oracle):
     # a fake S array with one corrupted entry must be flagged
-    from newmansum import oracle
-
-    pref = list(oracle.oracle_prefix(3, 0, 100))
-    pref[50] = 0  # S(50) is really 12; 0 violates the lower bound
-    rep = verify.bounds_sweep(100, prefix=pref)
+    faulty_oracle({50: 0})  # S(50) is really 12; 0 violates the lower bound
+    rep = verify.bounds_sweep(100)
     assert not rep.ok
     assert rep.bound_violations[0][0] == 50
 
@@ -65,8 +62,9 @@ def test_bounds_sweep_reports_corrupted_recursion(corrupt_correction):
 
 def _per_n_sweep(max_n, prefix, spot_step=9973):
     """The sweep as a loop over every N with its own float bounds, checking
-    each prefix entry against the recursion: the reference for
-    bounds_sweep's walk over the blocks of analysis.bound_blocks."""
+    each prefix entry against the recursion once: the reference for
+    bounds_sweep's walk over the blocks of analysis.bound_blocks, with its
+    entries in the same order."""
     lam = analysis.LAMBDA
     rep = verify.BoundsReport(max_n)
     for N in range(1, max_n + 1):
@@ -80,6 +78,11 @@ def _per_n_sweep(max_n, prefix, spot_step=9973):
             hi = None
         if core.newman_sum_recursive(N) != S:
             rep.bound_violations.append((N, S, "recursion-mismatch", None))
+        if N % spot_step == 0:
+            rep.checks += 2     # the recursion above and the exact bounds
+            if (analysis.lower_bound(N) != lo
+                    or (hi is not None and analysis.upper_bound(N) != hi)):
+                rep.bound_violations.append((N, S, "fast-path-mismatch", None))
         rep.checks += 1
         if S < lo or (hi is not None and S > hi):
             rep.bound_violations.append((N, S, lo, hi))
@@ -91,28 +94,20 @@ def _per_n_sweep(max_n, prefix, spot_step=9973):
         rep.checks += 1
         if not 0.05 < S / N ** lam < 5.0:
             rep.newman_violations.append(N)
-        if N % spot_step == 0:
-            rep.checks += 1
-            if core.newman_sum_recursive(N) != S:
-                rep.bound_violations.append((N, S, "recursion-mismatch", None))
-            rep.checks += 1
-            if (analysis.lower_bound(N) != lo
-                    or (hi is not None and analysis.upper_bound(N) != hi)):
-                rep.bound_violations.append((N, S, "fast-path-mismatch", None))
     return rep
 
 
 @pytest.mark.parametrize("max_n", [2, 3, 4, 1100, 10 ** 5])
 def test_run_walk_matches_per_n_loop(max_n):
-    prefix = oracle.oracle_prefix(3, 0, max_n)
-    rep = verify.bounds_sweep(max_n, prefix)
-    assert rep == _per_n_sweep(max_n, prefix)
+    rep = verify.bounds_sweep(max_n)
+    assert rep == _per_n_sweep(max_n, oracle.oracle_prefix(3, 0, max_n))
     assert rep.checks == 2 * max_n + 2 * (max_n // 9973)
 
 
-def test_run_walk_spot_checks_inside_and_outside_scanned_runs():
+def test_run_walk_spot_checks_inside_and_outside_scanned_runs(monkeypatch):
+    monkeypatch.setattr(verify, "_SPOT_STEP", 7)
     prefix = oracle.oracle_prefix(3, 0, 1100)
-    assert verify.bounds_sweep(1100, prefix, spot_step=7) == _per_n_sweep(1100, prefix, 7)
+    assert verify.bounds_sweep(1100) == _per_n_sweep(1100, prefix, 7)
 
 
 def _lower_run_start(lo, hi):
@@ -122,8 +117,7 @@ def _lower_run_start(lo, hi):
 
 
 @pytest.mark.parametrize("where", ["run-first", "run-last", "upper", "newman-only", "zero"])
-def test_run_walk_reports_injected_faults(where):
-    prefix = list(oracle.oracle_prefix(3, 0, 1000))
+def test_run_walk_reports_injected_faults(where, faulty_oracle):
     start = _lower_run_start(500, 1000)
     if where == "run-first":
         N, S = start, analysis.lower_bound(start) - 1
@@ -137,9 +131,9 @@ def test_run_walk_reports_injected_faults(where):
         N, S = 2, 0          # S = 0 is on the lower bound at N = 2, ratio 0
     else:
         N, S = 700, 0
-    prefix[N] = S
-    rep = verify.bounds_sweep(1000, prefix)
-    assert rep == _per_n_sweep(1000, prefix)
+    faulty_oracle({N: S})
+    rep = verify.bounds_sweep(1000)
+    assert rep == _per_n_sweep(1000, oracle.oracle_prefix(3, 0, 1000))
     lo = analysis.lower_bound(N)
     hi = analysis.upper_bound(N)
     mismatch = (N, S, "recursion-mismatch", None)
