@@ -11,17 +11,17 @@ extremal families (N = 6*4^k for the lower bound, N = 260*4^k for the
 upper) sit exactly on integer boundaries, so naive rounding there would
 be off by one.
 
-Sweeps go through one float evaluator, ``_bounds``, shared by
-``delta_record`` (so ``scan``) and ``bound_blocks``, the walk over the
-4-adic blocks of the recursion transducer that ``verify.bounds_sweep``
-consumes: a block's least and greatest S come from a min/max dynamic
-program over the transducer's states, and a block whose extremes clear
-both bounds at its ends clears them, and Newman's looser inequality, at
-every N in it.  For N <= 10^9 ``_bounds`` takes the float power N**LAMBDA
-once and derives both bounds and delta = S/N^lam from it.  A bound
-escalates to the exact function only when its float lies within 1e-6 of
-an integer, and delta's 12-digit text escalates to
-``format_significant(delta(N, S))`` only when the float could round
+Sweeps evaluate float first, one function per bound: ``_lower`` and
+``_upper``, called by ``delta_record`` (so ``scan``), ``bound_blocks``
+and ``verify.bounds_sweep`` for just the bounds they test.
+``bound_blocks`` walks the 4-adic blocks of the recursion transducer: a
+block's least and greatest S come from a min/max dynamic program over the
+transducer's states, and a block whose extremes clear the lower bound at
+its last N and the upper at its first clears both, and Newman's looser
+inequality, at every N in it.  For N <= 10^9 a bound is read from the
+float N**LAMBDA and escalates to the exact function only when that float
+lies within 1e-6 of an integer, and delta's 12-digit text escalates to
+``format_significant(delta(N, S))`` only when S/N**LAMBDA could round
 differently from the exact value.  Past 10^9 every value is exact.
 
 The sharp constants are never hard-coded as decimals; they are evaluated
@@ -72,13 +72,13 @@ _DPS = 40          # working precision, comfortably past the required 30
 #: Float approximation of the growth exponent ln3/ln4.
 LAMBDA = math.log(3) / math.log(4)
 
-# The float fast path of _bounds.  For 1 <= N <= _FAST_MAX the float
-# N**LAMBDA is within 1.4e-15 relative of N^lam (LAMBDA is 5.8e-17 above
-# lam, ln(10^9) < 21, plus pow's rounding), and the constants and the
-# products or the quotient add under 4e-16 more.  So both bounds, below
-# 10^7 there, are within 2e-8 of their exact values, far inside
-# _BOUND_MARGIN, and S/p is within 2e-15 relative of delta, inside
-# _DELTA_ERR.
+# The float fast path of _lower, _upper and delta_record.  For
+# 1 <= N <= _FAST_MAX the float N**LAMBDA is within 1.4e-15 relative of
+# N^lam (LAMBDA is 5.8e-17 above lam, ln(10^9) < 21, plus pow's rounding),
+# and the constant's product or S's quotient adds under 4e-16 more.  So
+# each bound's value, below 10^7 there, is within 2e-8 of the exact one,
+# far inside _BOUND_MARGIN, and S/N**LAMBDA is within 2e-15 relative of
+# delta, inside _DELTA_ERR.
 _FAST_MAX = 10 ** 9
 _BOUND_MARGIN = 1e-6
 _DELTA_ERR = 1e-14
@@ -221,24 +221,24 @@ def eta_half(k: int) -> int:
             + 3 * thue_morse_sign(3 * k))
 
 
-def _bounds(N: int):
-    """(lower, upper, p) for N >= 1: ``lower_bound(N)``, ``upper_bound(N)``
-    (None for N < 2) and the float N**LAMBDA they were derived from, or
-    p = None past _FAST_MAX, where both bounds are the exact functions'."""
-    if N > _FAST_MAX:
-        return lower_bound(N), (upper_bound(N) if N >= 2 else None), None
-    p = N ** LAMBDA
-    v = _C_LO * p
-    lo = math.floor(v)
-    if not _BOUND_MARGIN < v - lo < 1 - _BOUND_MARGIN:
-        lo = lower_bound(N)
-    hi = None
-    if N >= 2:
-        v = _C_HI * p
+def _lower(N: int) -> int:
+    """``lower_bound(N)`` for N >= 1, from the float N**LAMBDA where it can tell."""
+    if N <= _FAST_MAX:
+        v = _C_LO * N ** LAMBDA
+        lo = math.floor(v)
+        if _BOUND_MARGIN < v - lo < 1 - _BOUND_MARGIN:
+            return lo
+    return lower_bound(N)
+
+
+def _upper(N: int) -> int:
+    """``upper_bound(N)`` for N >= 2, from the float N**LAMBDA where it can tell."""
+    if N <= _FAST_MAX:
+        v = _C_HI * N ** LAMBDA
         hi = math.ceil(v)
-        if not _BOUND_MARGIN < hi - v < 1 - _BOUND_MARGIN:
-            hi = upper_bound(N)
-    return lo, hi, p
+        if _BOUND_MARGIN < hi - v < 1 - _BOUND_MARGIN:
+            return hi
+    return upper_bound(N)
 
 
 def _extremes(steps, levels: int):
@@ -298,7 +298,7 @@ def bound_blocks(max_n: int):
         if a >= 2 and b <= max_n + 1:
             smin = 3 ** j * S + lo[j][s]
             smax = 3 ** j * S + hi[j][s]
-            if smin > _bounds(b - 1)[0] and smax < _bounds(a)[1]:
+            if smin > _lower(b - 1) and smax < _upper(a):
                 yield a, b, smin, smax
                 continue
         width = 1 << 2 * (j - 1)
@@ -348,12 +348,13 @@ def delta_record(N: int) -> DeltaRecord:
     if N < 1:
         raise ValueError("delta_record needs N >= 1")
     S = newman_sum_recursive(N)
-    lo, hi, p = _bounds(N)
-    if p is None:
+    lo = _lower(N)
+    hi = _upper(N) if N >= 2 else None
+    if N > _FAST_MAX:
         d = delta(N, S)
         text = format_significant(d)
     else:
-        d = S / p
+        d = S / N ** LAMBDA
         text = _delta_text(d) or format_significant(delta(N, S))
     ok = lo <= S and (hi is None or S <= hi)
     return DeltaRecord(N, S, d, text, lo, hi, ok)

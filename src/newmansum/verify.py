@@ -112,17 +112,7 @@ class BoundsReport:
         return not self.bound_violations and not self.newman_violations
 
 
-_SPOT_STEP = 9973   # every _SPOT_STEP-th N has a _spot_check
-
-
-def _spot_check(rep: BoundsReport, N: int, S: int, lo: int, hi) -> None:
-    """Cross-check S against the recursion and the float evaluator's
-    bounds lo, hi at N against the exact bound functions."""
-    rep.checks += 2
-    if core.newman_sum_recursive(N) != S:
-        rep.bound_violations.append((N, S, "recursion-mismatch", None))
-    if analysis.lower_bound(N) != lo or (hi is not None and analysis.upper_bound(N) != hi):
-        rep.bound_violations.append((N, S, "fast-path-mismatch", None))
+_SPOT_STEP = 9973   # every _SPOT_STEP-th N checks the float bounds against the exact
 
 
 def bounds_sweep(max_n: int) -> BoundsReport:
@@ -130,8 +120,10 @@ def bounds_sweep(max_n: int) -> BoundsReport:
 
     S values come from the enumeration oracle.  Each block of
     ``analysis.bound_blocks`` has the oracle's extremes checked against the
-    recursion's; every entry of a single-N or disagreeing block is checked
-    on its own, against the recursion once among the rest.
+    recursion's.  Every entry of a single-N or disagreeing block, and every
+    multiple of _SPOT_STEP in a whole one, is read and compared with the
+    recursion once; at a multiple of _SPOT_STEP the float bounds are
+    compared with the exact ones too.
     """
     if max_n < 2:
         raise ValueError("bounds_sweep needs max_n >= 2")
@@ -140,19 +132,21 @@ def bounds_sweep(max_n: int) -> BoundsReport:
     rep = BoundsReport(max_n)
     for a, b, smin, smax in analysis.bound_blocks(max_n):
         rep.checks += 2 * (b - a)
-        if b - a > 1:
-            block = view[a:b]
-            if min(block) == smin and max(block) == smax:
-                for N in range(a + -a % _SPOT_STEP, b, _SPOT_STEP):
-                    _spot_check(rep, N, view[N], *analysis._bounds(N)[:2])
-                continue
-        for N in range(a, b):   # a single N, or a block the oracle disagrees on
+        block = view[a:b]
+        whole = b - a > 1 and min(block) == smin and max(block) == smax
+        for N in range(a + -a % _SPOT_STEP, b, _SPOT_STEP) if whole else range(a, b):
             S = view[N]
-            lo, hi, _ = analysis._bounds(N)
-            if N % _SPOT_STEP == 0:
-                _spot_check(rep, N, S, lo, hi)
-            elif core.newman_sum_recursive(N) != S:
+            if core.newman_sum_recursive(N) != S:
                 rep.bound_violations.append((N, S, "recursion-mismatch", None))
+            lo = analysis._lower(N)
+            hi = analysis._upper(N) if N >= 2 else None
+            if N % _SPOT_STEP == 0:
+                rep.checks += 2
+                if (analysis.lower_bound(N) != lo
+                        or (hi is not None and analysis.upper_bound(N) != hi)):
+                    rep.bound_violations.append((N, S, "fast-path-mismatch", None))
+            if whole:
+                continue
             if S < lo or (hi is not None and S > hi):
                 rep.bound_violations.append((N, S, lo, hi))
             if hi is not None:      # attainment is recorded from N = 2

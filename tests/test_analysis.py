@@ -174,6 +174,22 @@ def test_bound_blocks_certify_the_bounds_to_2_64():
     assert rep.upper_attained == [N for N in upper if N <= 10 ** 6]
 
 
+def test_bound_blocks_ask_each_block_end_one_bound(monkeypatch):
+    # Past 10^9 every bound is exact.  A tested block [a, b) has j >= 1, so
+    # its lower bound is asked at b-1 = 3 (mod 4) and its upper at
+    # a = 0 (mod 4); an exact call at any other residue is wasted work
+    calls = {"lower_bound": [], "upper_bound": []}
+    for name, args in calls.items():
+        exact = getattr(analysis, name)
+        monkeypatch.setattr(analysis, name,
+                            lambda N, exact=exact, args=args: args.append(N) or exact(N))
+    for _ in analysis.bound_blocks(2 ** 40):
+        pass
+    assert calls["lower_bound"] and calls["upper_bound"]
+    assert {N % 4 for N in calls["lower_bound"]} == {3}
+    assert {N % 4 for N in calls["upper_bound"]} == {0}
+
+
 def test_bounds_hold_pointwise_small():
     pref = brute.prefix(3, 0, 2000)
     for N in range(2, 2001):

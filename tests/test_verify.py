@@ -60,6 +60,16 @@ def test_bounds_sweep_reports_corrupted_recursion(corrupt_correction):
     assert rep.upper_attained == [19, 67, 259, 260, 271, 1039, 1040, 1087]
 
 
+def test_bounds_sweep_reports_wrong_float_bounds(monkeypatch):
+    # negative control: with the lower bound's float constant 1% high, the
+    # float bounds disagree with the exact ones at the spot checks
+    monkeypatch.setattr(analysis, "_C_LO", 1.01 * analysis._C_LO)
+    rep = verify.bounds_sweep(20000)
+    assert not rep.ok
+    assert (9973, 917, "fast-path-mismatch", None) in rep.bound_violations
+    assert (19946, 1621, "fast-path-mismatch", None) in rep.bound_violations
+
+
 def _per_n_sweep(max_n, prefix, spot_step=9973):
     """The sweep as a loop over every N with its own float bounds, checking
     each prefix entry against the recursion once: the reference for
@@ -104,7 +114,7 @@ def test_run_walk_matches_per_n_loop(max_n):
     assert rep.checks == 2 * max_n + 2 * (max_n // 9973)
 
 
-def test_run_walk_spot_checks_inside_and_outside_scanned_runs(monkeypatch):
+def test_bounds_sweep_spot_checks_inside_and_outside_whole_blocks(monkeypatch):
     monkeypatch.setattr(verify, "_SPOT_STEP", 7)
     prefix = oracle.oracle_prefix(3, 0, 1100)
     assert verify.bounds_sweep(1100) == _per_n_sweep(1100, prefix, 7)
