@@ -108,7 +108,7 @@ def _per_n_sweep(max_n, prefix, spot_step=9973):
 
 
 @pytest.mark.parametrize("max_n", [2, 3, 4, 1100, 10 ** 5])
-def test_run_walk_matches_per_n_loop(max_n):
+def test_bounds_sweep_matches_per_n_loop(max_n):
     rep = verify.bounds_sweep(max_n)
     assert rep == _per_n_sweep(max_n, oracle.oracle_prefix(3, 0, max_n))
     assert rep.checks == 2 * max_n + 2 * (max_n // 9973)
@@ -127,7 +127,7 @@ def _lower_run_start(lo, hi):
 
 
 @pytest.mark.parametrize("where", ["run-first", "run-last", "upper", "newman-only", "zero"])
-def test_run_walk_reports_injected_faults(where, faulty_oracle):
+def test_bounds_sweep_reports_injected_faults(where, faulty_oracle):
     start = _lower_run_start(500, 1000)
     if where == "run-first":
         N, S = start, analysis.lower_bound(start) - 1
