@@ -2,8 +2,15 @@
 
 Direct O(x) enumeration of (-1)^sigma(n) over a residue class.  This is
 the ground truth every fast evaluator is checked against, so it stays
-deliberately naive: one pure-Python loop over n, with no shortcuts in the
-math.  It takes integers of any size.
+deliberately naive: every member n of the class is visited one by one and
+takes its sign from its own ``bit_count``, with no recurrence and no
+shortcut in the math.  It takes integers of any size.
+
+One kernel, ``_prefix_sums``, enumerates the members in a range and fills
+the prefix entries between them by strided slices.  Prefixes are made in
+chunks of ``_CHUNK`` entries, each carrying the last sum into the next:
+``_prefix_chunks`` streams them, so a sweep over a prefix holds one chunk
+at a time, and ``oracle_prefix`` copies them into one array.
 
 A configurable cap (default 2^32, override through the
 ``NEWMANSUM_ORACLE_CAP`` environment variable) refuses enumerations that
@@ -12,6 +19,7 @@ would silently run for hours.
 
 import os
 from array import array
+from itertools import accumulate
 
 __all__ = [
     "OracleCapError",
@@ -25,6 +33,7 @@ __all__ = [
 
 KERNEL_BACKEND = "pure"     # the one enumeration kernel; perfbench records it
 DEFAULT_ORACLE_CAP = 2 ** 32
+_CHUNK = 2 ** 14            # entries per streamed prefix chunk
 _CAP_ENV = "NEWMANSUM_ORACLE_CAP"
 
 
@@ -72,15 +81,54 @@ def _range_sum(modulus, residue, start, stop):
     return total
 
 
-def _prefix_sums(modulus, residue, limit):
-    """array('q') holding S_{modulus,residue}(x) for every x = 0..limit."""
-    out = array("q", [0]) * (limit + 1)
-    s = 0
-    for n in range(limit):
-        if n % modulus == residue:
-            s += 1 - 2 * (n.bit_count() & 1)
-        out[n + 1] = s
+def _prefix_sums(modulus, residue, start, stop, carry):
+    """array('q') holding S_{modulus,residue}(x) for start <= x < stop,
+    given carry = S_{modulus,residue}(start).
+
+    Only the members n = first, first + modulus, ... of the class are
+    enumerated.  Entry x > first is the carry plus the signs of the
+    ceil((x - first) / modulus) members below it, so the entries from
+    first + 1 on are ``modulus`` strided slices of the running sums, each
+    as long as the one before it or one shorter; entries up to first are
+    the carry.
+    """
+    first = start + (residue - start) % modulus     # least member >= start
+    # sums[i]: the carry plus the signs of the first i + 1 members; a
+    # member from stop - 1 on is below no entry of this range
+    sums = array("q", accumulate([1 - 2 * (n.bit_count() & 1)
+                                  for n in range(first, stop - 1, modulus)],
+                                 initial=carry))
+    del sums[0]
+    out = array("q", [carry]) * (stop - start)
+    for lo in range(first + 1 - start, min(first + 1 + modulus, stop) - start):
+        # trimmed in place: a sliced copy would add to the peak memory
+        del sums[len(range(lo, stop - start, modulus)):]
+        out[lo::modulus] = sums
     return out
+
+
+def _prefix_chunks(modulus, residue, limit):
+    """The prefix S_{modulus,residue}(x), x = 0..limit, as an iterator of
+    (start, array('q')) chunks of _CHUNK entries in ascending order.
+
+    The class, the limit and the cap are checked here, before any
+    enumeration.
+    """
+    _check_class(modulus, residue)
+    if limit < 0:
+        raise ValueError("limit must be >= 0")
+    _check_cap(limit)
+    return _stream(modulus, residue, limit)
+
+
+def _stream(modulus, residue, limit):
+    carry = 0
+    for start in range(0, limit + 1, _CHUNK):
+        stop = min(start + _CHUNK, limit + 1)
+        chunk = _prefix_sums(modulus, residue, start, stop, carry)
+        carry = chunk[-1] + _range_sum(modulus, residue, stop - 1, stop)
+        yield start, chunk
+        del chunk       # not alive while the next one is built
 
 
 def oracle_sum(modulus: int, residue: int, x: int) -> int:
@@ -107,8 +155,9 @@ def oracle_prefix(modulus: int, residue: int, limit: int) -> array:
     Returns an ``array('q')`` of length limit+1; entry x is exactly
     ``oracle_sum(modulus, residue, x)``.
     """
-    _check_class(modulus, residue)
-    if limit < 0:
-        raise ValueError("limit must be >= 0")
-    _check_cap(limit)
-    return _prefix_sums(modulus, residue, limit)
+    chunks = _prefix_chunks(modulus, residue, limit)
+    out = array("q", [0]) * (limit + 1)
+    for start, chunk in chunks:
+        out[start:start + len(chunk)] = chunk
+        del chunk       # so that beside out one chunk at most is alive
+    return out

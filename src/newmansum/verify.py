@@ -17,8 +17,13 @@ and maximum.  Where they equal the recursion's, the block holds no
 violation and no attainment; where they differ, or the block is a single
 N, each entry is read and compared with the recursion once.  So the
 recursion is checked against the oracle on every block.
+
+Both sweeps read the oracle prefix as a stream of fixed chunks, in
+ascending order, so their memory is bounded by the chunk size, not by
+the range.
 """
 
+from array import array
 from dataclasses import dataclass, field
 
 from . import analysis, core, oracle
@@ -47,13 +52,28 @@ def run_core_checks(max_n: int) -> CheckReport:
         raise ValueError("max_n must be >= 0")
     rep = CheckReport()
 
-    pref3 = oracle.oracle_prefix(3, 0, max_n)
-
-    # both fast algorithms against the enumeration oracle
-    for N in range(max_n + 1):
-        want = pref3[N]
-        rep.note(core.newman_sum_decomposition(N) == want, "decomposition-vs-oracle", N)
-        rep.note(core.newman_sum_recursive(N) == want, "recursion-vs-oracle", N)
+    # one pass over the mod-3 prefix makes three checks; the failures of
+    # the last two are listed after those of checks made later
+    boundary, quadrupling = CheckReport(), CheckReport()
+    q_max = min(max_n // 4, 2 ** 14)
+    head = array("q")       # entries 0..q_max, for quadrupling
+    before = 0              # the entry before the chunk
+    for start, chunk in oracle._prefix_chunks(3, 0, max_n):
+        stop = start + len(chunk)
+        # both fast algorithms against the enumeration oracle
+        for N, want in enumerate(chunk, start):
+            rep.note(core.newman_sum_decomposition(N) == want, "decomposition-vs-oracle", N)
+            rep.note(core.newman_sum_recursive(N) == want, "recursion-vs-oracle", N)
+        # one-point boundary term for odd arguments
+        for N in range(start | 1, stop, 2):
+            prev = chunk[N - 1 - start] if N > start else before
+            boundary.note(core.boundary_term(N) == chunk[N - start] - prev, "boundary-term", N)
+        before = chunk[-1]
+        # quadrupling: S([0,4y)) = 3*S([0,y)) for even y
+        if start <= q_max:
+            head += chunk[:q_max + 1 - start]
+        for N in range(start + -start % 8, min(stop, 4 * q_max + 1), 8):
+            quadrupling.note(chunk[N - start] == 3 * head[N // 4], "quadrupling", N // 4)
 
     # alternating exponent sum is congruent to its argument mod 3
     for y in range(1, max_n + 1):
@@ -70,18 +90,16 @@ def run_core_checks(max_n: int) -> CheckReport:
             want = oracle.oracle_interval_sum(3, 0, 2 ** n, 2 ** n + 2 ** m)
             rep.note(core.dyadic_sum(parity, m) == want, "dyadic-closed-form", (n, m))
 
-    # one-point boundary term for odd arguments
-    for N in range(1, max_n + 1, 2):
-        rep.note(core.boundary_term(N) == pref3[N] - pref3[N - 1], "boundary-term", N)
+    rep.checks += boundary.checks
+    rep.failures += boundary.failures
 
     # the full Thue-Morse sum over an even prefix vanishes
-    pref1 = oracle.oracle_prefix(1, 0, max_n)
-    for x in range(0, max_n + 1, 2):
-        rep.note(pref1[x] == 0, "balance", x)
+    for start, chunk in oracle._prefix_chunks(1, 0, max_n):
+        for x in range(start + start % 2, start + len(chunk), 2):
+            rep.note(chunk[x - start] == 0, "balance", x)
 
-    # quadrupling: S([0,4y)) = 3*S([0,y)) for even y
-    for y in range(0, min(max_n // 4, 2 ** 14) + 1, 2):
-        rep.note(pref3[4 * y] == 3 * pref3[y], "quadrupling", y)
+    rep.checks += quadrupling.checks
+    rep.failures += quadrupling.failures
 
     # residue-class combinations against their own enumerations
     cap_r = min(max_n, 4096)
@@ -115,6 +133,24 @@ class BoundsReport:
 _SPOT_STEP = 9973   # every _SPOT_STEP-th N checks the float bounds against the exact
 
 
+class _PrefixReader:
+    """Ascending reads of an oracle prefix streamed in chunks: a read may
+    start anywhere in the chunk last reached, or after it."""
+
+    def __init__(self, modulus, residue, limit):
+        self._chunks = oracle._prefix_chunks(modulus, residue, limit)
+        self.start, self._chunk = 0, array("q")
+
+    def pieces(self, a, b):
+        """Yield (x, memoryview of entries x, x + 1, ...) covering [a, b)."""
+        while a < b:
+            while a >= self.start + len(self._chunk):
+                self.start, self._chunk = next(self._chunks)
+            end = min(b, self.start + len(self._chunk))
+            yield a, memoryview(self._chunk)[a - self.start:end - self.start]
+            a = end
+
+
 def bounds_sweep(max_n: int) -> BoundsReport:
     """Verify the sharp bounds and Newman's inequality for 1 <= N <= max_n.
 
@@ -124,18 +160,37 @@ def bounds_sweep(max_n: int) -> BoundsReport:
     multiple of _SPOT_STEP in a whole one, is read and compared with the
     recursion once; at a multiple of _SPOT_STEP the float bounds are
     compared with the exact ones too.
+
+    The prefix is streamed in chunks: a block's extremes and spot entries
+    are taken as its chunks pass.  A disagreeing block that began in a
+    chunk already passed is read again from a second stream, which also
+    only moves forward, so a faulty run enumerates at most twice.
     """
     if max_n < 2:
         raise ValueError("bounds_sweep needs max_n >= 2")
-    view = memoryview(oracle.oracle_prefix(3, 0, max_n))   # slices without a copy
+    prefix = _PrefixReader(3, 0, max_n)     # checks the cap before any work
+    replay = None       # for disagreeing blocks that began in a passed chunk
     lam = analysis.LAMBDA
     rep = BoundsReport(max_n)
     for a, b, smin, smax in analysis.bound_blocks(max_n):
         rep.checks += 2 * (b - a)
-        block = view[a:b]
-        whole = b - a > 1 and min(block) == smin and max(block) == smax
-        for N in range(a + -a % _SPOT_STEP, b, _SPOT_STEP) if whole else range(a, b):
-            S = view[N]
+        mins, maxs, spots = [], [], []
+        for x, piece in prefix.pieces(a, b):
+            mins.append(min(piece))
+            maxs.append(max(piece))
+            spots += [(N, piece[N - x])
+                      for N in range(x + -x % _SPOT_STEP, x + len(piece), _SPOT_STEP)]
+        whole = b - a > 1 and min(mins) == smin and max(maxs) == smax
+        if whole:
+            entries = spots
+        else:
+            source = prefix
+            if a < prefix.start:
+                if replay is None:
+                    replay = _PrefixReader(3, 0, max_n)
+                source = replay
+            entries = (e for x, piece in source.pieces(a, b) for e in enumerate(piece, x))
+        for N, S in entries:
             if core.newman_sum_recursive(N) != S:
                 rep.bound_violations.append((N, S, "recursion-mismatch", None))
             lo = analysis._lower(N)

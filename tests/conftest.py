@@ -26,15 +26,20 @@ def corrupt_correction(monkeypatch):
 
 @pytest.fixture
 def faulty_oracle(monkeypatch):
-    """A function that takes {N: S} and, for one test, makes
-    ``oracle.oracle_prefix`` set entry N to S in each array it returns."""
-    real = oracle.oracle_prefix
+    """A function that takes {N: S} and, for one test, makes every oracle
+    prefix stream set entry N to S in the chunk that holds it; so do the
+    arrays of ``oracle.oracle_prefix``, which is made from the stream."""
+    real = oracle._prefix_chunks
 
     def inject(faults):
-        def prefix(modulus, residue, limit):
-            out = real(modulus, residue, limit)
-            for N, S in faults.items():
-                out[N] = S
-            return out
-        monkeypatch.setattr(oracle, "oracle_prefix", prefix)
+        def faulty(chunks):
+            for start, chunk in chunks:
+                for N, S in faults.items():
+                    if start <= N < start + len(chunk):
+                        chunk[N - start] = S
+                yield start, chunk
+
+        def prefix_chunks(modulus, residue, limit):
+            return faulty(real(modulus, residue, limit))   # checks as eagerly
+        monkeypatch.setattr(oracle, "_prefix_chunks", prefix_chunks)
     return inject

@@ -1,7 +1,9 @@
 import tracemalloc
 from array import array
+from unittest import mock
 
 import pytest
+from hypothesis import given, strategies as st
 
 import brute
 from newmansum import oracle
@@ -100,6 +102,32 @@ def test_prefix_peak_memory_near_output_size():
     assert isinstance(pref, array) and pref.typecode == "q"
     assert len(pref) == limit + 1
     assert peak < 1.25 * 8 * (limit + 1)
+
+
+@given(chunk=st.integers(1, 9), k=st.integers(0, 6), d=st.sampled_from([-1, 0, 1]),
+       modulus=st.sampled_from([1, 3, 6]))
+def test_chunks_join_to_the_prefix(chunk, k, d, modulus):
+    limit = max(k * chunk + d, 0)
+    for residue in range(modulus):
+        whole = oracle.oracle_prefix(modulus, residue, limit)
+        with mock.patch.object(oracle, "_CHUNK", chunk):
+            chunks = list(oracle._prefix_chunks(modulus, residue, limit))
+            assert oracle.oracle_prefix(modulus, residue, limit) == whole
+        assert [start for start, _ in chunks] == list(range(0, limit + 1, chunk))
+        assert all(len(c) == chunk for _, c in chunks[:-1])
+        joined = [x for _, c in chunks for x in c]
+        assert joined == list(whole) == brute.prefix(modulus, residue, limit)
+
+
+def test_chunk_stream_checks_before_any_work(monkeypatch):
+    # the stream is lazy, but its arguments and the cap are checked at the call
+    monkeypatch.setenv("NEWMANSUM_ORACLE_CAP", "50")
+    with pytest.raises(oracle.OracleCapError):
+        oracle._prefix_chunks(3, 0, 51)
+    with pytest.raises(ValueError):
+        oracle._prefix_chunks(3, 3, 10)
+    with pytest.raises(ValueError):
+        oracle._prefix_chunks(3, 0, -1)
 
 
 def test_pure_kernel_handles_beyond_word_range(monkeypatch):

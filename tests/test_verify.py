@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import pytest
 
@@ -154,3 +155,37 @@ def test_bounds_sweep_reports_injected_faults(where, faulty_oracle):
         assert rep.bound_violations == [mismatch, (N, S, lo, hi)]
     assert rep.newman_violations == ([N] if where in ("newman-only", "zero") else [])
     assert not rep.ok
+
+
+@pytest.mark.parametrize("faults", [{}, {50: 0, 700: 0}, {2: 5, 8: 0, 62: 40}])
+def test_small_chunks_give_the_same_reports(faults, faulty_oracle, monkeypatch):
+    # with 7-entry chunks, blocks and the boundary term's pairs straddle
+    # chunk edges, and the disagreeing blocks of 48..51 and 640..703 begin
+    # in chunks already passed when their extremes are known
+    faulty_oracle(faults)
+    want = verify.bounds_sweep(1100), verify.run_core_checks(300)
+    monkeypatch.setattr(oracle, "_CHUNK", 7)
+    assert (verify.bounds_sweep(1100), verify.run_core_checks(300)) == want
+    assert want[0].ok == want[1].ok == (not faults)
+    if 62 in faults:
+        assert {name for name, _ in want[1].failures} == {
+            "decomposition-vs-oracle", "recursion-vs-oracle", "boundary-term",
+            "balance", "quadrupling", "residue-one", "residue-two"}
+
+
+def _peak(sweep, max_n):
+    tracemalloc.start()
+    try:
+        sweep(max_n)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("sweep,small,large", [
+    (verify.bounds_sweep, 2 * 10 ** 5, 8 * 10 ** 5),
+    (verify.run_core_checks, 2 ** 15, 2 ** 17),
+])
+def test_sweep_memory_is_bounded_by_a_chunk(sweep, small, large):
+    sweep(small)        # the caches any call fills
+    assert abs(_peak(sweep, large) - _peak(sweep, small)) < 8 * oracle._CHUNK
