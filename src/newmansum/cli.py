@@ -270,7 +270,8 @@ def _cmd_bench(args) -> int:
               f"recursive {tr * 1e3:.3f} ms, oracle {to}")
     limit = min(10 ** 6, cap)
     t0 = time.perf_counter()
-    oracle.oracle_prefix(3, 0, limit)
+    for _ in oracle._prefix_chunks(3, 0, limit):
+        pass
     dt = time.perf_counter() - t0
     print(f"prefix scan to {limit}: {dt * 1e3:.1f} ms")
     return 0

@@ -7,10 +7,10 @@ takes its sign from its own ``bit_count``, with no recurrence and no
 shortcut in the math.  It takes integers of any size.
 
 One kernel, ``_prefix_sums``, enumerates the members in a range and fills
-the prefix entries between them by strided slices.  Prefixes are made in
-chunks of ``_CHUNK`` entries, each carrying the last sum into the next:
-``_prefix_chunks`` streams them, so a sweep over a prefix holds one chunk
-at a time, and ``oracle_prefix`` copies them into one array.
+the prefix entries from its start through its stop by strided slices.
+``_prefix_chunks`` streams a prefix in chunks of ``_CHUNK`` entries, each
+kernel call's entry at its stop popped as the next one's carry, so a sweep
+holds one chunk at a time; ``oracle_prefix`` copies them into one array.
 
 A configurable cap (default 2^32, override through the
 ``NEWMANSUM_ORACLE_CAP`` environment variable) refuses enumerations that
@@ -82,10 +82,10 @@ def _range_sum(modulus, residue, start, stop):
 
 
 def _prefix_sums(modulus, residue, start, stop, carry):
-    """array('q') holding S_{modulus,residue}(x) for start <= x < stop,
+    """array('q') holding S_{modulus,residue}(x) for start <= x <= stop,
     given carry = S_{modulus,residue}(start).
 
-    Only the members n = first, first + modulus, ... of the class are
+    Only the members n = first, first + modulus, ... below stop are
     enumerated.  Entry x > first is the carry plus the signs of the
     ceil((x - first) / modulus) members below it, so the entries from
     first + 1 on are ``modulus`` strided slices of the running sums, each
@@ -93,16 +93,15 @@ def _prefix_sums(modulus, residue, start, stop, carry):
     the carry.
     """
     first = start + (residue - start) % modulus     # least member >= start
-    # sums[i]: the carry plus the signs of the first i + 1 members; a
-    # member from stop - 1 on is below no entry of this range
+    # sums[i]: the carry plus the signs of the first i + 1 members
     sums = array("q", accumulate([1 - 2 * (n.bit_count() & 1)
-                                  for n in range(first, stop - 1, modulus)],
+                                  for n in range(first, stop, modulus)],
                                  initial=carry))
     del sums[0]
-    out = array("q", [carry]) * (stop - start)
-    for lo in range(first + 1 - start, min(first + 1 + modulus, stop) - start):
+    out = array("q", [carry]) * (stop - start + 1)
+    for lo in range(first + 1 - start, min(first + modulus, stop) + 1 - start):
         # trimmed in place: a sliced copy would add to the peak memory
-        del sums[len(range(lo, stop - start, modulus)):]
+        del sums[len(range(lo, stop + 1 - start, modulus)):]
         out[lo::modulus] = sums
     return out
 
@@ -126,7 +125,7 @@ def _stream(modulus, residue, limit):
     for start in range(0, limit + 1, _CHUNK):
         stop = min(start + _CHUNK, limit + 1)
         chunk = _prefix_sums(modulus, residue, start, stop, carry)
-        carry = chunk[-1] + _range_sum(modulus, residue, stop - 1, stop)
+        carry = chunk.pop()     # entry stop, the next chunk's first
         yield start, chunk
         del chunk       # not alive while the next one is built
 

@@ -20,11 +20,13 @@ recursion is checked against the oracle on every block.
 
 Both sweeps read the oracle prefix as a stream of fixed chunks, in
 ascending order, so their memory is bounded by the chunk size, not by
-the range.
+the range; ``run_core_checks`` makes one plain pass per identity.
 """
 
 from array import array
 from dataclasses import dataclass, field
+from itertools import chain, islice
+from operator import itemgetter
 
 from . import analysis, core, oracle
 
@@ -46,34 +48,24 @@ class CheckReport:
         return not self.failures
 
 
+def _entries(modulus, residue, limit):
+    """S_{modulus,residue}(x), x = 0..limit, entry by entry, holding one
+    chunk; the arguments and the cap are checked at the call."""
+    return chain.from_iterable(map(itemgetter(1),
+                                   oracle._prefix_chunks(modulus, residue, limit)))
+
+
 def run_core_checks(max_n: int) -> CheckReport:
-    """Run the core invariant suite for all arguments up to max_n."""
+    """Run the core invariant suite for all arguments up to max_n, reading
+    the oracle in one ascending pass per identity."""
     if max_n < 0:
         raise ValueError("max_n must be >= 0")
     rep = CheckReport()
 
-    # one pass over the mod-3 prefix makes three checks; the failures of
-    # the last two are listed after those of checks made later
-    boundary, quadrupling = CheckReport(), CheckReport()
-    q_max = min(max_n // 4, 2 ** 14)
-    head = array("q")       # entries 0..q_max, for quadrupling
-    before = 0              # the entry before the chunk
-    for start, chunk in oracle._prefix_chunks(3, 0, max_n):
-        stop = start + len(chunk)
-        # both fast algorithms against the enumeration oracle
-        for N, want in enumerate(chunk, start):
-            rep.note(core.newman_sum_decomposition(N) == want, "decomposition-vs-oracle", N)
-            rep.note(core.newman_sum_recursive(N) == want, "recursion-vs-oracle", N)
-        # one-point boundary term for odd arguments
-        for N in range(start | 1, stop, 2):
-            prev = chunk[N - 1 - start] if N > start else before
-            boundary.note(core.boundary_term(N) == chunk[N - start] - prev, "boundary-term", N)
-        before = chunk[-1]
-        # quadrupling: S([0,4y)) = 3*S([0,y)) for even y
-        if start <= q_max:
-            head += chunk[:q_max + 1 - start]
-        for N in range(start + -start % 8, min(stop, 4 * q_max + 1), 8):
-            quadrupling.note(chunk[N - start] == 3 * head[N // 4], "quadrupling", N // 4)
+    # both fast algorithms against the enumeration oracle
+    for N, want in enumerate(_entries(3, 0, max_n)):
+        rep.note(core.newman_sum_decomposition(N) == want, "decomposition-vs-oracle", N)
+        rep.note(core.newman_sum_recursive(N) == want, "recursion-vs-oracle", N)
 
     # alternating exponent sum is congruent to its argument mod 3
     for y in range(1, max_n + 1):
@@ -90,28 +82,34 @@ def run_core_checks(max_n: int) -> CheckReport:
             want = oracle.oracle_interval_sum(3, 0, 2 ** n, 2 ** n + 2 ** m)
             rep.note(core.dyadic_sum(parity, m) == want, "dyadic-closed-form", (n, m))
 
-    rep.checks += boundary.checks
-    rep.failures += boundary.failures
+    # one-point boundary term for odd arguments: entries N - 1 and N
+    entries = _entries(3, 0, max_n)
+    for N, before, S in zip(range(1, max_n + 1, 2), entries, entries):
+        rep.note(core.boundary_term(N) == S - before, "boundary-term", N)
 
     # the full Thue-Morse sum over an even prefix vanishes
-    for start, chunk in oracle._prefix_chunks(1, 0, max_n):
-        for x in range(start + start % 2, start + len(chunk), 2):
-            rep.note(chunk[x - start] == 0, "balance", x)
+    for x, S in zip(range(0, max_n + 1, 2), islice(_entries(1, 0, max_n), 0, None, 2)):
+        rep.note(S == 0, "balance", x)
 
-    rep.checks += quadrupling.checks
-    rep.failures += quadrupling.failures
+    # quadrupling: S([0,4y)) = 3*S([0,y)) for even y
+    q_max = min(max_n // 4, 2 ** 14)
+    evens = islice(_entries(3, 0, q_max), 0, None, 2)
+    quads = islice(_entries(3, 0, 4 * q_max), 0, None, 8)
+    for y, S, S4 in zip(range(0, q_max + 1, 2), evens, quads):
+        rep.note(S4 == 3 * S, "quadrupling", y)
 
-    # residue-class combinations against their own enumerations
+    # residue-class combinations against their own enumerations; the
+    # partition reuses the class-1 and class-2 sums of even N
     cap_r = min(max_n, 4096)
-    pref31 = oracle.oracle_prefix(3, 1, cap_r)
-    pref32 = oracle.oracle_prefix(3, 2, cap_r)
-    for N in range(cap_r + 1):
-        rep.note(core.residue_sum(1, N) == pref31[N], "residue-one", N)
-        rep.note(core.residue_sum(2, N) == pref32[N], "residue-two", N)
-    for N in range(0, cap_r + 1, 2):
-        total = (core.residue_sum(0, N) + core.residue_sum(1, N)
-                 + core.residue_sum(2, N))
-        rep.note(total == 0, "residue-partition", N)
+    totals = []
+    for N, S1, S2 in zip(range(cap_r + 1), _entries(3, 1, cap_r), _entries(3, 2, cap_r)):
+        r1, r2 = core.residue_sum(1, N), core.residue_sum(2, N)
+        rep.note(r1 == S1, "residue-one", N)
+        rep.note(r2 == S2, "residue-two", N)
+        if N % 2 == 0:
+            totals.append(r1 + r2)
+    for N, total in zip(range(0, cap_r + 1, 2), totals):
+        rep.note(core.residue_sum(0, N) + total == 0, "residue-partition", N)
 
     return rep
 

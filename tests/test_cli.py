@@ -273,6 +273,19 @@ def test_verify_detects_fault(capsys, corrupt_correction):
     assert "N=15" in out
 
 
+@pytest.mark.parametrize("max_n,faults,summary", [
+    (300, {2: 5, 8: 0, 62: 40}, "2031 checks, 19 failures"),
+    (300, {0: 1}, "2031 checks, 7 failures"),
+    (65536, {16384: 0}, "280720 checks, 5 failures"),     # a chunk's first entry
+])
+def test_verify_reports_oracle_faults(max_n, faults, summary, capsys, faulty_oracle):
+    faulty_oracle(faults)
+    code, out, _ = invoke(["verify", "--max", str(max_n)], capsys)
+    assert code == 1
+    assert out == (f"range: 0..{max_n}\n{summary}\n"
+                   f"first failure: decomposition-vs-oracle at N={min(faults)}\n")
+
+
 # ------------------------------------------------------------------- scan
 
 def test_scan_csv(tmp_path, capsys):
@@ -427,6 +440,18 @@ def test_bench_runs(capsys):
     assert any(line.startswith("N=2^20:") for line in lines)
     assert any("oracle n/a (over cap)" in line for line in lines if "2^64" in line)
     assert any(line.startswith("prefix scan to ") for line in lines)
+
+
+def test_bench_holds_no_prefix():
+    # the prefix scan times the chunk stream, not a 10^6-entry array
+    with open(os.devnull, "w") as null, contextlib.redirect_stdout(null):
+        tracemalloc.start()
+        try:
+            assert cli.main(["bench", "--exponents", "1"]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak < 2 ** 20, f"{peak / 2 ** 20:.2f} MiB"
 
 
 # ---------------------------------------------------------------- packaging

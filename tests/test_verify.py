@@ -171,6 +171,15 @@ def test_small_chunks_give_the_same_reports(faults, faulty_oracle, monkeypatch):
         assert {name for name, _ in want[1].failures} == {
             "decomposition-vs-oracle", "recursion-vs-oracle", "boundary-term",
             "balance", "quadrupling", "residue-one", "residue-two"}
+        assert want[1].failures == [
+            ("decomposition-vs-oracle", 2), ("recursion-vs-oracle", 2),
+            ("decomposition-vs-oracle", 8), ("recursion-vs-oracle", 8),
+            ("decomposition-vs-oracle", 62), ("recursion-vs-oracle", 62),
+            ("boundary-term", 3), ("boundary-term", 9), ("boundary-term", 63),
+            ("balance", 2), ("balance", 62),
+            ("quadrupling", 2), ("quadrupling", 8), ("quadrupling", 62),
+            ("residue-one", 2), ("residue-two", 2), ("residue-one", 8),
+            ("residue-one", 62), ("residue-two", 62)]
 
 
 def _peak(sweep, max_n):
