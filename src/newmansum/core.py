@@ -21,11 +21,12 @@ O(x) enumeration in :mod:`newmansum.oracle`:
 
 Both algorithms take O(log x) steps.  Each evaluator runs its steps as a
 finite-state transducer: it finds the small digits d_j of
-S_{3,0}(x) = sum of d_j * 3^j in one pass over the bytes of x and sums
-them by divide and conquer (``_assemble``), so its cost is bounded by
-big-integer multiplication.  ``decomposition_terms`` and
-``recursion_trace`` run the same transducer steps one digit or one set bit
-at a time and return its small outputs, the terms c * 3^j, for display.
+S_{3,0}(x) = sum of d_j * 3^j in one pass over the bytes of x.  An x of at
+most ``_HORNER_BYTES`` bytes has them summed by Horner's rule in that
+pass; a longer x has them summed by divide and conquer (``_assemble``), so
+its cost is bounded by big-integer multiplication.  ``decomposition_terms``
+and ``recursion_trace`` run the same transducer steps one digit or one set
+bit at a time and return its small outputs, the terms c * 3^j, for display.
 
 Sums over the other residue classes mod 3, mod 6 and mod 3*2^m reduce to
 S_{3,0} by fixed linear combinations and are exposed as ``residue_sum``,
@@ -175,7 +176,7 @@ def newman_sum_decomposition(x: int) -> int:
     x = index(x)
     if x < 0:
         raise ValueError("newman_sum_decomposition needs x >= 0")
-    return _assemble(_decomposition_digits(x))
+    return _run(x >> 1, _decomposition_step) + (boundary_term(x) if x & 1 else 0)
 
 
 def decomposition_terms(x: int) -> list:
@@ -225,7 +226,7 @@ def newman_sum_recursive(N: int) -> int:
     N = index(N)
     if N < 0:
         raise ValueError("newman_sum_recursive needs N >= 0")
-    return _assemble(_recursion_digits(N))
+    return _run(N, _recursion_step)
 
 
 def recursion_trace(N: int) -> list:
@@ -266,7 +267,7 @@ def residue_sum(l: int, N: int, evaluate=newman_sum_recursive) -> int:
     S_{3,0} is computed by ``evaluate``, the divide-by-four recursion
     unless another evaluator such as ``newman_sum_decomposition`` is given.
     """
-    N = index(N)
+    l, N = index(l), index(N)
     if N < 0:
         raise ValueError("residue_sum needs N >= 0")
     if l not in (0, 1, 2):
@@ -287,7 +288,7 @@ def six_residue_sum(j: int, x: int, y: int) -> int:
         S_{6,4} = I_0 + I_1 - I_2
         S_{6,5} = 2 I_1 + I_2 - I_3 - I_0   (S_{3,2} minus S_{6,2} over [2x, 2y))
     """
-    x, y = index(x), index(y)
+    j, x, y = index(j), index(x), index(y)
     if j not in range(6):
         raise ValueError("j must be in 0..5")
     if x < 0 or x > y:
@@ -304,7 +305,7 @@ def scaled_residue_sum(m: int, k: int, r: int, n: int) -> int:
     Dropping the low m bits maps the class onto S_{3,k}(2^(n-m)), with the
     Thue-Morse sign of the fixed low part r as a global factor.
     """
-    m, n = index(m), index(n)
+    m, k, r, n = index(m), index(k), index(r), index(n)
     if m < 0:
         raise ValueError("scaled_residue_sum needs m >= 0")
     if k not in (0, 1, 2):
@@ -325,9 +326,15 @@ def scaled_residue_sum(m: int, k: int, r: int, n: int) -> int:
 # (S_{3,0} is 4-regular; Allouche & Shallit, Automatic Sequences, ch. 16).
 # _byte_table extends a transducer to whole bytes, four base-4 digits at a
 # time, so one pass over the bytes of x gives the digits, four per byte as
-# one digit in radix 81 = 3^4, and _assemble sums them.  This replaces
-# O(log x) steps on O(log x)-bit integers by a linear scan and a
-# divide-and-conquer sum whose cost is bounded by big-integer multiplication.
+# one digit in radix 81 = 3^4.  _run sums them by Horner's rule inside that
+# pass when x has at most _HORNER_BYTES bytes, and otherwise by _assemble.
+# This replaces O(log x) steps on O(log x)-bit integers by a linear scan
+# and, for long x, a divide-and-conquer sum whose cost is bounded by
+# big-integer multiplication.
+
+# Bytes of x up to which _run sums its digits by Horner in the scan loop;
+# past that, _assemble's products are faster.
+_HORNER_BYTES = 128
 
 # Radix-81 digits per limb in _assemble (36 base-3 digits, under 2^63).
 _LIMB = 9
@@ -337,13 +344,10 @@ _LIMB_POWERS = tuple(81 ** i for i in range(_LIMB))
 def _assemble(digits) -> int:
     """sum of digits[i] * 81^i, lowest digit first.
 
-    Sums _LIMB digits at a time into small limbs (at most _LIMB digits
-    are one limb, returned as it is), then merges adjacent
+    Sums _LIMB digits at a time into small limbs, then merges adjacent
     limbs pairwise (lo + hi * B) with B squared at each level, so the cost
     is that of a few big-integer products rather than one per digit.
     """
-    if len(digits) <= _LIMB:
-        return sum(map(mul, digits, _LIMB_POWERS))
     limbs = [sum(map(mul, digits[i:i + _LIMB], _LIMB_POWERS))
              for i in range(0, len(digits), _LIMB)]
     base = 81 ** _LIMB
@@ -353,7 +357,7 @@ def _assemble(digits) -> int:
         limbs = [lo + hi * base for lo, hi in zip(limbs[::2], limbs[1::2])]
         if len(limbs) > 1:
             base *= base
-    return limbs[0]
+    return sum(limbs)   # the one limb left, or 0 for no digits
 
 
 def _step_table(step) -> list:
@@ -382,18 +386,26 @@ def _byte_table(step) -> tuple:
             array("b", [c for row in table for _, c in row]))
 
 
-def _scan(x: int, table: tuple) -> list:
-    """Radix-81 output digits of a byte transducer over x, read from the
-    top byte, returned lowest first (one per byte of x)."""
-    next_state, out = table
-    state = 0
+def _run(x: int, step) -> int:
+    """sum of d_j * 81^j over the radix-81 output digits d_j of ``step``'s
+    byte transducer on x, read from the top byte: by Horner in the scan
+    for at most _HORNER_BYTES bytes, else by _assemble."""
+    next_state, out = _byte_table(step)
+    state = value = 0
+    data = x.to_bytes((x.bit_length() + 7) // 8, "big")
+    if len(data) <= _HORNER_BYTES:
+        for byte in data:
+            i = state | byte
+            value = 81 * value + out[i]
+            state = next_state[i]
+        return value
     digits = []
-    for byte in x.to_bytes((x.bit_length() + 7) // 8, "big"):
+    for byte in data:
         i = state | byte
         digits.append(out[i])
         state = next_state[i]
     digits.reverse()
-    return digits
+    return _assemble(digits)
 
 
 def _recursion_step(state, d):
@@ -405,11 +417,6 @@ def _recursion_step(state, d):
     odd = (state >> 1 ^ d ^ d >> 1) & 1
     c = _CORRECTION[(9 * (d + 4 * (state & 1)) + 16 * m3) % 24]
     return m3 << 2 | odd << 1 | d & 1, -c if odd else c
-
-
-def _recursion_digits(N: int) -> list:
-    """The recursion's digits c(N >> 2k) in radix 81, from one scan of N."""
-    return _scan(N, _byte_table(_recursion_step))
 
 
 # Coefficient of 3^j in the decomposition term of a set bit k >= 1 with
@@ -437,12 +444,3 @@ def _decomposition_step(t, d):
             term, t = _bit_term(t, k)
             c += term
     return t, c
-
-
-def _decomposition_digits(x: int) -> list:
-    """The decomposition's terms of x as digits in radix 81, from one scan
-    of x >> 1 plus the boundary term (S([0, 1)) = 1 for x = 1)."""
-    digits = _scan(x >> 1, _byte_table(_decomposition_step)) or [0]
-    if x & 1:
-        digits[0] += boundary_term(x)
-    return digits

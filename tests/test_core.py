@@ -239,11 +239,11 @@ def test_positivity_and_growth_cap(N):
 # ---------------------------------------------------------------- digit scan
 
 def _fast_recursive(N):
-    return core._assemble(core._recursion_digits(N))
+    return core._run(N, core._recursion_step)
 
 
-def _fast_decomposition(N):
-    return core._assemble(core._decomposition_digits(N))
+def _fast_decomposition(x):
+    return core._run(x >> 1, core._decomposition_step) + (core.boundary_term(x) if x & 1 else 0)
 
 
 def _horner(digits):
@@ -275,8 +275,20 @@ def _scalar_decomposition(x):
     return sum(v for _, v in walks.decomposition(x))
 
 
+def _at_switch(test):
+    """Add examples of _HORNER_BYTES - 1, _HORNER_BYTES and _HORNER_BYTES + 1
+    bytes, where the scan changes from Horner's rule to _assemble: the
+    lowest, the highest and a random N of each length."""
+    rng = random.Random(core._HORNER_BYTES)
+    for n in (core._HORNER_BYTES - 1, core._HORNER_BYTES, core._HORNER_BYTES + 1):
+        for N in (1 << 8 * n - 8, (1 << 8 * n) - 1, rng.getrandbits(8 * n) | 1 << 8 * n - 1):
+            test = example(N)(test)
+    return test
+
+
 @settings(max_examples=25)
 @given(_BY_BIT_LENGTH)
+@_at_switch
 def test_digit_scan_matches_scalar_loops(N):
     assert _fast_recursive(N) == _scalar_recursive(N)
     assert _fast_decomposition(N) == _scalar_decomposition(N)
@@ -286,6 +298,7 @@ def test_digit_scan_matches_scalar_loops(N):
 @given(_BY_BIT_LENGTH)
 # an odd N past CPython's 4300-digit int->str limit
 @example((1 << 2 ** 14) - 1)
+@_at_switch
 def test_digit_scan_matches_traces(N):
     want = _horner(core.recursion_trace(N))
     assert core.newman_sum_recursive(N) == want
@@ -312,11 +325,26 @@ def test_digit_scan_small_exhaustive():
         assert _fast_decomposition(N) == pref[N], N
 
 
+def test_horner_and_assemble_paths_agree(monkeypatch):
+    """Every N through Horner's rule, then every N through _assemble."""
+    rng = random.Random(12)
+    sample = [rng.getrandbits(b) | 1 << b - 1 for b in range(1, 2 ** 12 + 1, 29)]
+    sample += [rng.getrandbits(2 ** 12) | 1 << 2 ** 12 - 1 | 1 for _ in range(3)]
+    values = []
+    for horner_bytes in (10 ** 9, 0):
+        monkeypatch.setattr(core, "_HORNER_BYTES", horner_bytes)
+        values.append([(core.newman_sum_recursive(N), core.newman_sum_decomposition(N))
+                       for N in sample])
+    assert values[0] == values[1]
+    assert all(r == d for r, d in values[0])
+
+
 def test_assemble():
     assert core._assemble([]) == 0
     assert core._assemble([2, -1, 0, 4]) == 2 - 81 + 4 * 81 ** 3
     rng = random.Random(7)
-    for n in (0, 1, core._LIMB - 1, core._LIMB, core._LIMB + 1, 5 * core._LIMB + 3, 1000):
+    # lengths up to one limb go through the limb loop too
+    for n in (*range(core._LIMB + 2), 5 * core._LIMB + 3, 1000):
         digits = [rng.randint(-121, 121) for _ in range(n)]
         assert core._assemble(digits) == sum(d * 81 ** i for i, d in enumerate(digits))
 
@@ -398,3 +426,31 @@ def test_scaled_residue_vs_brute():
                     want = brute.newman(3 * 2 ** m, k * 2 ** m + r, 2 ** n)
                     got = core.scaled_residue_sum(m, k, r, n)
                     assert got == want, (m, k, r, n)
+
+
+class _Index:
+    """An integer-like object with nothing but ``__index__``."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def __index__(self):
+        return self.value
+
+
+def test_residue_sums_take_index_class_arguments():
+    for l in (0, 1, 2):
+        assert core.residue_sum(_Index(l), _Index(77)) == core.residue_sum(l, 77)
+    for j in range(6):
+        assert core.six_residue_sum(_Index(j), _Index(5), _Index(30)) \
+            == core.six_residue_sum(j, 5, 30)
+    for k in (0, 1, 2):
+        for r in range(4):
+            assert core.scaled_residue_sum(_Index(2), _Index(k), _Index(r), _Index(7)) \
+                == core.scaled_residue_sum(2, k, r, 7)
+    with pytest.raises(ValueError):
+        core.residue_sum(_Index(3), 8)
+    with pytest.raises(ValueError):
+        core.six_residue_sum(_Index(6), 0, 4)
+    with pytest.raises(ValueError):
+        core.scaled_residue_sum(2, _Index(1), _Index(4), 6)
