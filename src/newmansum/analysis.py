@@ -367,6 +367,7 @@ def extremal_sequences(n_max: int) -> list:
     exactly, and (for n >= 8) N = 2^n + 2^(n-6) realizes the limsup
     plateau 55/(3*65^lam) exactly.  Records are returned in ascending N.
     """
+    n_max = index(n_max)
     if n_max < 8:
         raise ValueError("extremal_sequences needs n_max >= 8")
     ns = []
@@ -382,6 +383,7 @@ def scan(start: int, stop: int, step: int = 1):
 
     Requires 1 <= start < stop and step >= 1; rows come out in ascending N.
     """
+    start, stop, step = index(start), index(stop), index(step)
     if not 1 <= start < stop:
         raise ValueError("scan needs 1 <= start < stop")
     if step < 1:
@@ -403,6 +405,7 @@ class EtaRow:
 def eta_row(x: int) -> EtaRow:
     """The EtaRow of x >= 1, computed on its own, so that a table of any
     length can be printed row by row."""
+    x = index(x)
     d = eta_defined(x)
     e = eta_derived(x)
     return EtaRow(x, d, e, d == e)
@@ -410,6 +413,7 @@ def eta_row(x: int) -> EtaRow:
 
 def eta_rows(x_max: int) -> list:
     """EtaRows for all odd x up to x_max."""
+    x_max = index(x_max)
     if x_max < 1:
         raise ValueError("eta_rows needs x_max >= 1")
     return [eta_row(x) for x in range(1, x_max + 1, 2)]

@@ -3,6 +3,9 @@
 Subcommands: eval, verify, scan, bounds, eta, bench.  Exit codes follow
 the contract {0 ok, 1 verification failure, 2 I/O or cap error, 64 usage
 error}.  All output except bench timings is byte-deterministic.
+
+``main`` builds its argument parser once per process, on its first call,
+and every later call reuses it; importing this module builds none.
 """
 
 import argparse
@@ -319,10 +322,17 @@ def _build_parser() -> _Parser:
     return parser
 
 
+# Built by the first main call and reused by every later one; building it
+# at import would add its build time to every import of this module.
+_parser = None
+
+
 def main(argv=None) -> int:
-    parser = _build_parser()
+    global _parser
+    if _parser is None:
+        _parser = _build_parser()
     with _any_length_ints():
-        args = parser.parse_args(argv)
+        args = _parser.parse_args(argv)
         try:
             return args.func(args)
         except oracle.OracleCapError as exc:

@@ -63,6 +63,7 @@ __all__ = [
 
 def digit_sum(n: int) -> int:
     """Number of ones in the binary expansion of n (the binary digit sum)."""
+    n = index(n)
     if n < 0:
         raise ValueError("digit_sum needs n >= 0")
     return n.bit_count()
@@ -70,6 +71,7 @@ def digit_sum(n: int) -> int:
 
 def thue_morse_sign(n: int) -> int:
     """(-1)^digit_sum(n): +1 when n has evenly many binary ones, else -1."""
+    n = index(n)
     if n < 0:
         raise ValueError("thue_morse_sign needs n >= 0")
     return -1 if n.bit_count() & 1 else 1
@@ -157,11 +159,16 @@ _REDUCTION_TABLE = (
 def boundary_term(N: int) -> int:
     """S_{3,0}([N-1, N)) for odd N: the Thue-Morse sign of N-1 when
     N = 1 (mod 3), else 0."""
+    N = index(N)
     if N < 1 or N % 2 == 0:
         raise ValueError("boundary_term needs odd N >= 1")
-    if N % 3 == 1:
-        return thue_morse_sign(N - 1)
-    return 0
+    return _boundary(N)
+
+
+def _boundary(N):
+    # boundary_term of an odd int N >= 1, unchecked; N - 1 has one binary
+    # one fewer than N, so its Thue-Morse sign is the opposite of N's
+    return (1 if N.bit_count() & 1 else -1) if N % 3 == 1 else 0
 
 
 def newman_sum_decomposition(x: int) -> int:
@@ -176,7 +183,7 @@ def newman_sum_decomposition(x: int) -> int:
     x = index(x)
     if x < 0:
         raise ValueError("newman_sum_decomposition needs x >= 0")
-    return _run(x >> 1, _decomposition_step) + (boundary_term(x) if x & 1 else 0)
+    return _run(x >> 1, _decomposition_step) + (_boundary(x) if x & 1 else 0)
 
 
 def decomposition_terms(x: int) -> list:
@@ -192,7 +199,7 @@ def decomposition_terms(x: int) -> list:
         if k == 0:
             # through Decimal, which has no int->str length limit
             desc = f"S([{Decimal(x - 1)},{Decimal(x)}))" if terms else "S(2^0)"
-            terms.append((desc, boundary_term(x), 0))
+            terms.append((desc, _boundary(x), 0))
             break
         sign, form, parity = _REDUCTION_TABLE[t]
         s = "" if not terms else "+" if sign > 0 else "-"
@@ -211,6 +218,7 @@ _CORRECTION = (0, -1, -1, 1, 1, -1, -1, 0, 0, 0, 1, -1,
 
 def recursion_correction(N: int) -> int:
     """c(N) in S_{3,0}(N) = 3*S_{3,0}(N//4) + c(N), for N >= 1."""
+    N = index(N)
     if N < 1:
         raise ValueError("recursion_correction needs N >= 1")
     c = _CORRECTION[N % 24]

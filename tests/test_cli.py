@@ -454,6 +454,58 @@ def test_bench_holds_no_prefix():
     assert peak < 2 ** 20, f"{peak / 2 ** 20:.2f} MiB"
 
 
+# ---------------------------------------------------------------- parser
+
+def _call_sequence(out, capsys, monkeypatch, fresh):
+    """Exit code, stdout, stderr and written file of each of a fixed
+    sequence of calls, each on a newly built parser when fresh."""
+    argvs = [["eval", "-5"], ["eval", "--help"], ["eval", "500000"],
+             ["eval", "8", "--residue", "1"], ["verify", "--max", "100"],
+             ["scan", "--from", "1", "--to", "40", "--step", "3", "--out", str(out)]]
+    results = []
+    for argv in argvs:
+        if fresh:
+            monkeypatch.setattr(cli, "_parser", None)
+        results.append((*invoke(argv, capsys), out.read_text() if out.exists() else None))
+    return results
+
+
+def test_parser_reuse_is_invisible(tmp_path, capsys, monkeypatch):
+    out = tmp_path / "scan.csv"
+    reused = _call_sequence(out, capsys, monkeypatch, fresh=False)
+    out.unlink()
+    assert reused == _call_sequence(out, capsys, monkeypatch, fresh=True)
+    code, _, err, _ = reused[0]
+    assert code == 64 and err.startswith("usage: newmansum eval")
+    assert reused[1][0] == 0 and reused[1][1].startswith("usage: newmansum eval")
+    assert reused[2][:2] == (0, "18261\n")
+    assert reused[-1][3].startswith("N,S,delta")
+
+
+def test_import_builds_no_parser():
+    # importing the module builds no parser; the first main call builds
+    # it and later calls reuse it
+    code = "\n".join([
+        "import argparse, contextlib, io",
+        "built = []",
+        "init = argparse.ArgumentParser.__init__",
+        "def counting(self, *args, **kwargs):",
+        "    built.append(kwargs.get('prog'))",
+        "    init(self, *args, **kwargs)",
+        "argparse.ArgumentParser.__init__ = counting",
+        "import newmansum.cli",
+        "assert built == [], built",
+        "with contextlib.redirect_stdout(io.StringIO()):",
+        "    assert newmansum.cli.main(['eval', '19']) == 0",
+        "    first = len(built)",
+        "    assert newmansum.cli.main(['eval', '19']) == 0",
+        "assert first == len(built) > 0, (first, built)",
+    ])
+    proc = subprocess.run([sys.executable, "-c", code],
+                          capture_output=True, text=True, env=_package_env())
+    assert proc.returncode == 0, proc.stderr
+
+
 # ---------------------------------------------------------------- packaging
 
 def _package_env():

@@ -5,7 +5,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import brute
 import walks
-from newmansum import core
+from newmansum import analysis, core
 
 
 # ---------------------------------------------------------------- digit sums
@@ -454,3 +454,21 @@ def test_residue_sums_take_index_class_arguments():
         core.six_residue_sum(_Index(6), 0, 4)
     with pytest.raises(ValueError):
         core.scaled_residue_sum(2, _Index(1), _Index(4), 6)
+
+
+def test_index_objects_accepted():
+    assert core.digit_sum(_Index(500000)) == 7
+    assert core.thue_morse_sign(_Index(7)) == -1
+    assert core.boundary_term(_Index(7)) == 1
+    assert core.recursion_correction(_Index(13)) == core.recursion_correction(13)
+    assert list(analysis.scan(_Index(1), _Index(30), _Index(7))) == list(analysis.scan(1, 30, 7))
+    assert analysis.extremal_sequences(_Index(10)) == analysis.extremal_sequences(10)
+    assert analysis.eta_rows(_Index(9)) == analysis.eta_rows(9)
+    assert analysis.eta_row(_Index(9)) == analysis.eta_row(9)
+    for fn, bad in ((core.digit_sum, -1), (core.thue_morse_sign, -1),
+                    (core.boundary_term, 4), (core.recursion_correction, 0),
+                    (analysis.extremal_sequences, 7), (analysis.eta_rows, 0)):
+        with pytest.raises(ValueError):
+            fn(_Index(bad))
+    with pytest.raises(ValueError):
+        next(analysis.scan(_Index(5), _Index(5)))
