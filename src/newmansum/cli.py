@@ -209,7 +209,8 @@ def _cmd_scan(args) -> int:
         os.replace(tmp, out)
         tmp = None
     except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        # named by the path given, not the temporary file's random name
+        print(f"error: {args.out}: {exc.strerror or exc}", file=sys.stderr)
         return 2
     finally:
         if tmp is not None and os.path.exists(tmp):

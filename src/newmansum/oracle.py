@@ -6,8 +6,9 @@ deliberately naive: every member n of the class is visited one by one and
 takes its sign from its own ``bit_count``, with no recurrence and no
 shortcut in the math.  It takes integers of any size.
 
-One kernel, ``_prefix_sums``, enumerates the members in a range and fills
-the prefix entries from its start through its stop by strided slices.
+Sums run ``_range_sum`` and prefixes run ``_prefix_sums``; both visit only
+the members of the class, and ``_prefix_sums`` fills the entries from its
+start through its stop by strided slices.
 ``_prefix_chunks`` streams a prefix in chunks of ``_CHUNK`` entries, each
 kernel call's entry at its stop popped as the next one's carry, so a sweep
 holds one chunk at a time; ``oracle_prefix`` copies them into one array.
@@ -72,8 +73,6 @@ def _check_cap(bound):
 
 def _range_sum(modulus, residue, start, stop):
     """Sum of (-1)^popcount(n) over start <= n < stop with n % modulus == residue."""
-    if stop <= start:
-        return 0
     first = start + (residue - start) % modulus
     total = 0
     for n in range(first, stop, modulus):

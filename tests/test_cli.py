@@ -355,12 +355,34 @@ def test_scan_bad_range(tmp_path, capsys):
     assert code == 64
 
 
+def _scan_fails_alike(target, capsys):
+    """Run scan into target twice; both runs must exit 2 with the same
+    stderr, naming target and not the temporary file.  Returns stderr."""
+    argv = ["scan", "--from", "2", "--to", "5", "--out", str(target)]
+    runs = [invoke(argv, capsys) for _ in range(2)]
+    assert [code for code, _, _ in runs] == [2, 2]
+    err = runs[0][2]
+    assert runs[1][2] == err
+    assert err.startswith(f"error: {target}: ")
+    assert ".scan-" not in err
+    return err
+
+
 def test_scan_unwritable_path(tmp_path, capsys):
     target = tmp_path / "no-such-dir" / "x.csv"
-    code, _, err = invoke(
-        ["scan", "--from", "2", "--to", "5", "--out", str(target)], capsys)
-    assert code == 2
+    err = _scan_fails_alike(target, capsys)
+    assert err == f"error: {target}: No such file or directory\n"
     assert not target.exists()
+    assert os.listdir(tmp_path) == []
+
+
+def test_scan_out_is_a_directory(tmp_path, capsys):
+    target = tmp_path / "out"
+    target.mkdir()
+    _scan_fails_alike(target, capsys)
+    # the rows were written to a temporary file, which is removed
+    assert os.listdir(tmp_path) == ["out"]
+    assert os.listdir(target) == []
 
 
 # ------------------------------------------------------------------- bounds
