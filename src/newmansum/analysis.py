@@ -259,7 +259,7 @@ def _extremes(steps, levels: int):
     return lo, hi
 
 
-def bound_blocks(max_n: int):
+def bound_blocks(max_n: int, _top=math.inf):
     """Yield (a, b, smin, smax) for 4-adic blocks [a, b) covering
     1 <= N <= max_n in ascending order, smin and smax being the least and
     the greatest S_{3,0}(N) on the block by the recursion.
@@ -280,6 +280,8 @@ def bound_blocks(max_n: int):
     its four children, down to single N (b = a + 1, smin = smax = S(a)),
     where a bound may be attained or violated.
     """
+    # _top, set only by verify.bounds_sweep, caps the level of a block yielded
+    # whole; a wider one splits, its children's extremes lying inside its own
     max_n = index(max_n)
     if max_n < 1:
         raise ValueError("bound_blocks needs max_n >= 1")
@@ -295,7 +297,7 @@ def bound_blocks(max_n: int):
             if a >= 1:
                 yield a, b, S, S
             continue
-        if a >= 2 and b <= max_n + 1:
+        if j <= _top and a >= 2 and b <= max_n + 1:
             smin = 3 ** j * S + lo[j][s]
             smax = 3 ** j * S + hi[j][s]
             if smin > _lower(b - 1) and smax < _upper(a):

@@ -34,7 +34,10 @@ __all__ = [
 
 KERNEL_BACKEND = "pure"     # the one enumeration kernel; perfbench records it
 DEFAULT_ORACLE_CAP = 2 ** 32
-_CHUNK = 2 ** 14            # entries per streamed prefix chunk
+# Entries per prefix chunk, a power of 4: ``bounds`` reads each block of up to
+# _CHUNK entries in one chunk.  Any other size gives smaller blocks and, from a
+# correct oracle, the same reports.
+_CHUNK = 2 ** 14
 _CAP_ENV = "NEWMANSUM_ORACLE_CAP"
 
 

@@ -15,15 +15,15 @@ both bounds strictly, and with them Newman's inequality, or the block is
 a single N.  One pass over the oracle prefix takes each block's minimum
 and maximum.  Where they equal the recursion's, the block holds no
 violation and no attainment; where they differ, or the block is a single
-N, each entry is read and compared with the recursion once.  So the
-recursion is checked against the oracle on every block.
+N, each entry is read and compared with the recursion once.  So every
+block's extremes are checked against the recursion, which keeps the bounds
+verdict sound; ``run_core_checks`` is the per-N cross-check.
 
 Both sweeps read the oracle prefix as a stream of fixed chunks, in
 ascending order, so their memory is bounded by the chunk size, not by
 the range; ``run_core_checks`` makes one plain pass per identity.
 """
 
-from array import array
 from dataclasses import dataclass, field
 from itertools import chain, islice
 from operator import itemgetter
@@ -137,24 +137,6 @@ class BoundsReport:
 _SPOT_STEP = 9973   # every _SPOT_STEP-th N checks the float bounds against the exact
 
 
-class _PrefixReader:
-    """Ascending reads of an oracle prefix streamed in chunks: a read may
-    start anywhere in the chunk last reached, or after it."""
-
-    def __init__(self, modulus, residue, limit):
-        self._chunks = oracle._prefix_chunks(modulus, residue, limit)
-        self.start, self._chunk = 0, array("q")
-
-    def pieces(self, a, b):
-        """Yield (x, memoryview of entries x, x + 1, ...) covering [a, b)."""
-        while a < b:
-            while a >= self.start + len(self._chunk):
-                self.start, self._chunk = next(self._chunks)
-            end = min(b, self.start + len(self._chunk))
-            yield a, memoryview(self._chunk)[a - self.start:end - self.start]
-            a = end
-
-
 def bounds_sweep(max_n: int) -> BoundsReport:
     """Verify the sharp bounds and Newman's inequality for 1 <= N <= max_n.
 
@@ -165,35 +147,28 @@ def bounds_sweep(max_n: int) -> BoundsReport:
     recursion once; at a multiple of _SPOT_STEP the float bounds are
     compared with the exact ones too.
 
-    The prefix is streamed in chunks: a block's extremes and spot entries
-    are taken as its chunks pass.  A disagreeing block that began in a
-    chunk already passed is read again from a second stream, which also
-    only moves forward, so a faulty run enumerates at most twice.
+    The prefix is read in one ascending pass, faults included, and no block
+    read is wider than a chunk: blocks are capped at 4^top entries, the
+    largest power of 4 dividing ``oracle._CHUNK``, and a block starts at a
+    multiple of its width, so it lies inside one chunk.
     """
     if max_n < 2:
         raise ValueError("bounds_sweep needs max_n >= 2")
-    prefix = _PrefixReader(3, 0, max_n)     # checks the cap before any work
-    replay = None       # for disagreeing blocks that began in a passed chunk
+    chunks = oracle._prefix_chunks(3, 0, max_n)     # checks the cap before any work
+    top = ((oracle._CHUNK & -oracle._CHUNK).bit_length() - 1) // 2
+    start, chunk = 0, ()
     lam = analysis.LAMBDA
     rep = BoundsReport(max_n)
-    for a, b, smin, smax in analysis.bound_blocks(max_n):
+    for a, b, smin, smax in analysis.bound_blocks(max_n, _top=top):
         rep.checks += 2 * (b - a)
-        mins, maxs, spots = [], [], []
-        for x, piece in prefix.pieces(a, b):
-            mins.append(min(piece))
-            maxs.append(max(piece))
-            spots += [(N, piece[N - x])
-                      for N in range(x + -x % _SPOT_STEP, x + len(piece), _SPOT_STEP)]
-        whole = b - a > 1 and min(mins) == smin and max(maxs) == smax
+        while a >= start + len(chunk):
+            start, chunk = next(chunks)
+        piece = memoryview(chunk)[a - start:b - start]
+        whole = b - a > 1 and min(piece) == smin and max(piece) == smax
         if whole:
-            entries = spots
+            entries = [(N, piece[N - a]) for N in range(a + -a % _SPOT_STEP, b, _SPOT_STEP)]
         else:
-            source = prefix
-            if a < prefix.start:
-                if replay is None:
-                    replay = _PrefixReader(3, 0, max_n)
-                source = replay
-            entries = (e for x, piece in source.pieces(a, b) for e in enumerate(piece, x))
+            entries = enumerate(piece, a)
         for N, S in entries:
             if core.newman_sum_recursive(N) != S:
                 rep.bound_violations.append((N, S, "recursion-mismatch", None))

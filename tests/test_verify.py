@@ -159,13 +159,15 @@ def test_bounds_sweep_reports_injected_faults(where, faulty_oracle):
 
 @pytest.mark.parametrize("faults", [{}, {50: 0, 700: 0}, {2: 5, 8: 0, 62: 40}])
 def test_small_chunks_give_the_same_reports(faults, faulty_oracle, monkeypatch):
-    # with 7-entry chunks, blocks and the boundary term's pairs straddle
-    # chunk edges, and the disagreeing blocks of 48..51 and 640..703 begin
-    # in chunks already passed when their extremes are known
+    # the boundary term's pairs straddle chunk edges.  bounds_sweep caps
+    # its blocks at the largest power of 4 dividing the chunk: with 7
+    # entries every block is a single N, and with 16 and 64 the whole
+    # blocks wider than a chunk split at its edges
     faulty_oracle(faults)
     want = verify.bounds_sweep(1100), verify.run_core_checks(300)
-    monkeypatch.setattr(oracle, "_CHUNK", 7)
-    assert (verify.bounds_sweep(1100), verify.run_core_checks(300)) == want
+    for chunk in (7, 16, 64):
+        monkeypatch.setattr(oracle, "_CHUNK", chunk)
+        assert (verify.bounds_sweep(1100), verify.run_core_checks(300)) == want, chunk
     assert want[0].ok == want[1].ok == (not faults)
     if 62 in faults:
         assert {name for name, _ in want[1].failures} == {
@@ -180,6 +182,23 @@ def test_small_chunks_give_the_same_reports(faults, faulty_oracle, monkeypatch):
             ("quadrupling", 2), ("quadrupling", 8), ("quadrupling", 62),
             ("residue-one", 2), ("residue-two", 2), ("residue-one", 8),
             ("residue-one", 62), ("residue-two", 62)]
+
+
+def test_faulty_sweep_reads_the_oracle_once(faulty_oracle, monkeypatch):
+    # the disagreeing block that holds 700 is read from the one stream
+    faulty_oracle({700: 0})
+    monkeypatch.setattr(oracle, "_CHUNK", 16)
+    want = _per_n_sweep(1100, oracle.oracle_prefix(3, 0, 1100))
+    real, calls = oracle._prefix_chunks, []
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+    monkeypatch.setattr(oracle, "_prefix_chunks", counted)
+    rep = verify.bounds_sweep(1100)
+    assert calls == [(3, 0, 1100)]
+    assert rep == want
+    assert not rep.ok
 
 
 def _peak(sweep, max_n):
