@@ -89,7 +89,7 @@ _C_HI = 55 / 3 / 65 ** LAMBDA     # upper bound argument = _C_HI * N^lam
 def growth_exponent():
     """ln3/ln4 as an mpf at the working precision (4^lam = 3 exactly)."""
     with mp.workdps(_DPS):
-        return mp.ln(3) / mp.ln(4)
+        return _lam()
 
 
 def _lam():
@@ -221,24 +221,23 @@ def eta_half(k: int) -> int:
             + 3 * thue_morse_sign(3 * k))
 
 
+def _float_first(N: int, c: float, rounder, exact) -> int:
+    """rounder(c * N**LAMBDA) where that float can tell, else ``exact(N)``."""
+    if N <= _FAST_MAX:
+        v = c * N ** LAMBDA
+        if _BOUND_MARGIN < v % 1 < 1 - _BOUND_MARGIN:
+            return rounder(v)
+    return exact(N)
+
+
 def _lower(N: int) -> int:
     """``lower_bound(N)`` for N >= 1, from the float N**LAMBDA where it can tell."""
-    if N <= _FAST_MAX:
-        v = _C_LO * N ** LAMBDA
-        lo = math.floor(v)
-        if _BOUND_MARGIN < v - lo < 1 - _BOUND_MARGIN:
-            return lo
-    return lower_bound(N)
+    return _float_first(N, _C_LO, math.floor, lower_bound)
 
 
 def _upper(N: int) -> int:
     """``upper_bound(N)`` for N >= 2, from the float N**LAMBDA where it can tell."""
-    if N <= _FAST_MAX:
-        v = _C_HI * N ** LAMBDA
-        hi = math.ceil(v)
-        if _BOUND_MARGIN < hi - v < 1 - _BOUND_MARGIN:
-            return hi
-    return upper_bound(N)
+    return _float_first(N, _C_HI, math.ceil, upper_bound)
 
 
 def _extremes(steps, levels: int):

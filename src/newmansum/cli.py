@@ -14,7 +14,7 @@ import decimal
 import os
 import sys
 import tempfile
-import time
+from collections import deque
 from decimal import Decimal
 
 from . import analysis, core, oracle, verify
@@ -248,35 +248,22 @@ def _cmd_eta(args) -> int:
     return 0
 
 
-def _best_of(fn) -> float:
-    best = None
-    for _ in range(5):
-        t0 = time.perf_counter()
-        fn()
-        dt = time.perf_counter() - t0
-        best = dt if best is None else min(best, dt)
-    return best
-
-
 def _cmd_bench(args) -> int:
+    import timeit       # here, so that no other command's start-up pays for it
     cap = oracle.oracle_cap()
     for e in args.exponents:
         N = 2 ** e
-        td = _best_of(lambda: core.newman_sum_decomposition(N))
-        tr = _best_of(lambda: core.newman_sum_recursive(N))
+        td = min(timeit.repeat(lambda: core.newman_sum_decomposition(N), number=1, repeat=5))
+        tr = min(timeit.repeat(lambda: core.newman_sum_recursive(N), number=1, repeat=5))
         if N <= cap:
-            t0 = time.perf_counter()
-            oracle.oracle_sum(3, 0, N)
-            to = f"{(time.perf_counter() - t0) * 1e3:.3f} ms"
+            to = f"{timeit.timeit(lambda: oracle.oracle_sum(3, 0, N), number=1) * 1e3:.3f} ms"
         else:
             to = "n/a (over cap)"
         print(f"N=2^{e}: decomposition {td * 1e3:.3f} ms, "
               f"recursive {tr * 1e3:.3f} ms, oracle {to}")
     limit = min(10 ** 6, cap)
-    t0 = time.perf_counter()
-    for _ in oracle._prefix_chunks(3, 0, limit):
-        pass
-    dt = time.perf_counter() - t0
+    # a zero-length deque drops each chunk as it arrives
+    dt = timeit.timeit(lambda: deque(oracle._prefix_chunks(3, 0, limit), maxlen=0), number=1)
     print(f"prefix scan to {limit}: {dt * 1e3:.1f} ms")
     return 0
 

@@ -6,9 +6,9 @@ deliberately naive: every member n of the class is visited one by one and
 takes its sign from its own ``bit_count``, with no recurrence and no
 shortcut in the math.  It takes integers of any size.
 
-Sums run ``_range_sum`` and prefixes run ``_prefix_sums``; both visit only
-the members of the class, and ``_prefix_sums`` fills the entries from its
-start through its stop by strided slices.
+Every answer comes from ``_signs``, the one loop that visits the members
+of the class and signs each: sums add its signs up, and ``_prefix_sums``
+accumulates them and fills the entries between members by strided slices.
 ``_prefix_chunks`` streams a prefix in chunks of ``_CHUNK`` entries, each
 kernel call's entry at its stop popped as the next one's carry, so a sweep
 holds one chunk at a time; ``oracle_prefix`` copies them into one array.
@@ -20,7 +20,7 @@ would silently run for hours.
 
 import os
 from array import array
-from itertools import accumulate
+from itertools import accumulate, chain
 
 __all__ = [
     "OracleCapError",
@@ -74,13 +74,13 @@ def _check_cap(bound):
             f"oracle cap: enumerating up to {bound} exceeds the cap of {cap}")
 
 
-def _range_sum(modulus, residue, start, stop):
-    """Sum of (-1)^popcount(n) over start <= n < stop with n % modulus == residue."""
-    first = start + (residue - start) % modulus
-    total = 0
-    for n in range(first, stop, modulus):
-        total += 1 - 2 * (n.bit_count() & 1)
-    return total
+def _signs(modulus, residue, start, stop):
+    """(-1)^popcount(n) for each n in [start, stop) with n % modulus == residue,
+    in ascending n, in lists of at most _CHUNK signs, each made by one
+    comprehension: a generator resumed per member is 10 to 16 % slower."""
+    step = _CHUNK * modulus
+    for lo in range(start + (residue - start) % modulus, stop, step):
+        yield [1 - 2 * (n.bit_count() & 1) for n in range(lo, min(lo + step, stop), modulus)]
 
 
 def _prefix_sums(modulus, residue, start, stop, carry):
@@ -96,8 +96,7 @@ def _prefix_sums(modulus, residue, start, stop, carry):
     """
     first = start + (residue - start) % modulus     # least member >= start
     # sums[i]: the carry plus the signs of the first i + 1 members
-    sums = array("q", accumulate([1 - 2 * (n.bit_count() & 1)
-                                  for n in range(first, stop, modulus)],
+    sums = array("q", accumulate(chain.from_iterable(_signs(modulus, residue, start, stop)),
                                  initial=carry))
     del sums[0]
     out = array("q", [carry]) * (stop - start + 1)
@@ -138,7 +137,7 @@ def oracle_sum(modulus: int, residue: int, x: int) -> int:
     if x < 0:
         raise ValueError("x must be >= 0")
     _check_cap(x)
-    return _range_sum(modulus, residue, 0, x)
+    return sum(map(sum, _signs(modulus, residue, 0, x)))
 
 
 def oracle_interval_sum(modulus: int, residue: int, start: int, stop: int) -> int:
@@ -147,7 +146,7 @@ def oracle_interval_sum(modulus: int, residue: int, start: int, stop: int) -> in
     if not 0 <= start <= stop:
         raise ValueError("need 0 <= start <= stop")
     _check_cap(stop)
-    return _range_sum(modulus, residue, start, stop)
+    return sum(map(sum, _signs(modulus, residue, start, stop)))
 
 
 def oracle_prefix(modulus: int, residue: int, limit: int) -> array:

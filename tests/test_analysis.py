@@ -190,6 +190,33 @@ def test_bound_blocks_ask_each_block_end_one_bound(monkeypatch):
     assert {N % 4 for N in calls["upper_bound"]} == {0}
 
 
+def test_float_first_escalation_counts(monkeypatch):
+    # (lower, upper) exact calls per run.  Up to 10^9 a bound is exact only
+    # where the float lies within _BOUND_MARGIN of an integer, so both a
+    # zero margin and a wider one change these counts; past 10^9 every
+    # bound a block end asks for is exact.  bounds_sweep's counts include
+    # its 200 spot checks of the float bounds against the exact ones.
+    counts = {"lower_bound": 0, "upper_bound": 0}
+    for name in counts:
+        exact = getattr(analysis, name)
+
+        def counted(N, name=name, exact=exact):
+            counts[name] += 1
+            return exact(N)
+        monkeypatch.setattr(analysis, name, counted)
+
+    def calls(run):
+        for name in counts:
+            counts[name] = 0
+        run()
+        return counts["lower_bound"], counts["upper_bound"]
+
+    assert calls(lambda: list(analysis.bound_blocks(10 ** 6))) == (0, 21)
+    assert calls(lambda: verify.bounds_sweep(10 ** 6)) == (109, 127)
+    assert calls(lambda: list(analysis.scan(2, 5002))) == (5, 3)
+    assert calls(lambda: list(analysis.bound_blocks(2 ** 40))) == (1206, 1175)
+
+
 def test_bounds_hold_pointwise_small():
     pref = brute.prefix(3, 0, 2000)
     for N in range(2, 2001):

@@ -184,6 +184,25 @@ def test_small_chunks_give_the_same_reports(faults, faulty_oracle, monkeypatch):
             ("residue-one", 62), ("residue-two", 62)]
 
 
+@pytest.mark.parametrize("chunk", [7, 16, 64, 2 ** 14])
+def test_sweep_blocks_lie_inside_one_chunk(chunk, monkeypatch):
+    # bounds_sweep reads a block as a slice of one chunk, which a block
+    # crossing a chunk edge would cut short without an error
+    monkeypatch.setattr(oracle, "_CHUNK", chunk)
+    real, blocks = analysis.bound_blocks, []
+
+    def recorded(*args, **kwargs):
+        for block in real(*args, **kwargs):
+            blocks.append(block[:2])
+            yield block
+    monkeypatch.setattr(analysis, "bound_blocks", recorded)
+    verify.bounds_sweep(10 ** 5)
+    assert blocks
+    for a, b in blocks:
+        assert a // chunk == (b - 1) // chunk, (a, b)
+    assert any(b - a > 1 for a, b in blocks) == (chunk > 7)
+
+
 def test_faulty_sweep_reads_the_oracle_once(faulty_oracle, monkeypatch):
     # the disagreeing block that holds 700 is read from the one stream
     faulty_oracle({700: 0})
