@@ -39,7 +39,8 @@ from operator import index
 
 from mpmath import mp
 
-from .core import _recursion_step, _step_table, newman_sum_recursive, thue_morse_sign
+from .core import (_at_least, _recursion_step, _step_table, newman_sum_recursive,
+                   thue_morse_sign)
 
 __all__ = [
     "LAMBDA",
@@ -141,9 +142,7 @@ def delta(N: int, S: int | None = None):
     S may be passed in when already known; otherwise it is computed with
     the divide-by-four recursion.
     """
-    N = index(N)
-    if N < 1:
-        raise ValueError("delta needs N >= 1")
+    N = _at_least(N, 1, "delta needs N")
     if S is None:
         S = newman_sum_recursive(N)
     with mp.workdps(_DPS):
@@ -152,35 +151,26 @@ def delta(N: int, S: int | None = None):
 
 def lower_bound(N: int) -> int:
     """floor(2*(N/6)^lam), a sharp lower bound for S_{3,0}(N), N >= 1."""
-    N = index(N)
-    if N < 1:
-        raise ValueError("lower_bound needs N >= 1")
+    N = _at_least(N, 1, "lower_bound needs N")
     return _exact_round(N, 2, 1, 6, mp.floor)
 
 
 def upper_bound(N: int) -> int:
     """ceil((55/3)*(N/65)^lam), a sharp upper bound for S_{3,0}(N), N >= 2."""
-    N = index(N)
-    if N < 2:
-        raise ValueError("upper_bound needs N >= 2")
+    N = _at_least(N, 2, "upper_bound needs N")
     return _exact_round(N, 55, 3, 65, mp.ceil)
 
 
 def coquet_ratio(x: int):
     """S_{3,0}(3x) * x^(-lam) for x >= 2; stays inside
     [2/sqrt(3), (55/3)*(3/65)^lam]."""
-    x = index(x)
-    if x < 2:
-        raise ValueError("coquet_ratio needs x >= 2")
-    with mp.workdps(_DPS):
-        return newman_sum_recursive(3 * x) / mp.mpf(x) ** _lam()
+    x = _at_least(x, 2, "coquet_ratio needs x")
+    return delta(x, newman_sum_recursive(3 * x))
 
 
 def newman_inequality_check(x: int) -> bool:
     """Whether 1/20 < S_{3,0}(x) * x^(-lam) < 5 (Newman's inequality)."""
-    x = index(x)
-    if x < 1:
-        raise ValueError("newman_inequality_check needs x >= 1")
+    x = _at_least(x, 1, "newman_inequality_check needs x")
     r = delta(x)
     with mp.workdps(_DPS):
         return bool(mp.mpf(1) / 20 < r < 5)
@@ -189,9 +179,7 @@ def newman_inequality_check(x: int) -> bool:
 def eta_defined(x: int) -> int:
     """Coquet's piecewise correction term: 0 for even x, the Thue-Morse
     sign of 3x-3 for odd x."""
-    x = index(x)
-    if x < 1:
-        raise ValueError("eta_defined needs x >= 1")
+    x = _at_least(x, 1, "eta_defined needs x")
     if x % 2 == 0:
         return 0
     return thue_morse_sign(3 * x - 3)
@@ -204,18 +192,14 @@ def eta_derived(x: int) -> int:
     Disagrees with ``eta_defined`` already at x = 1, 3, 5, 9; that
     contradiction is the point of the checker.
     """
-    x = index(x)
-    if x < 1:
-        raise ValueError("eta_derived needs x >= 1")
+    x = _at_least(x, 1, "eta_derived needs x")
     return 3 * newman_sum_recursive(3 * x) - newman_sum_recursive(12 * x)
 
 
 def eta_half(k: int) -> int:
     """The half-integer extension eta(k + 1/2) that periodicity of F would
     force: 3*S(3k) - S(3*(4k+2)) + 3*(-1)^sigma(3k), for k >= 0."""
-    k = index(k)
-    if k < 0:
-        raise ValueError("eta_half needs k >= 0")
+    k = _at_least(k, 0, "eta_half needs k")
     return (3 * newman_sum_recursive(3 * k)
             - newman_sum_recursive(3 * (4 * k + 2))
             + 3 * thue_morse_sign(3 * k))
@@ -281,9 +265,7 @@ def bound_blocks(max_n: int, _top=math.inf):
     """
     # _top, set only by verify.bounds_sweep, caps the level of a block yielded
     # whole; a wider one splits, its children's extremes lying inside its own
-    max_n = index(max_n)
-    if max_n < 1:
-        raise ValueError("bound_blocks needs max_n >= 1")
+    max_n = _at_least(max_n, 1, "bound_blocks needs max_n")
     levels = (max_n.bit_length() + 1) // 2      # 4^levels > max_n
     steps = _step_table(_recursion_step)
     lo, hi = _extremes(steps, levels)
@@ -345,9 +327,7 @@ class DeltaRecord:
 
 def delta_record(N: int) -> DeltaRecord:
     """Assemble the DeltaRecord for one N >= 1."""
-    N = index(N)
-    if N < 1:
-        raise ValueError("delta_record needs N >= 1")
+    N = _at_least(N, 1, "delta_record needs N")
     S = newman_sum_recursive(N)
     lo = _lower(N)
     hi = _upper(N) if N >= 2 else None
@@ -368,9 +348,7 @@ def extremal_sequences(n_max: int) -> list:
     exactly, and (for n >= 8) N = 2^n + 2^(n-6) realizes the limsup
     plateau 55/(3*65^lam) exactly.  Records are returned in ascending N.
     """
-    n_max = index(n_max)
-    if n_max < 8:
-        raise ValueError("extremal_sequences needs n_max >= 8")
+    n_max = _at_least(n_max, 8, "extremal_sequences needs n_max")
     ns = []
     for n in range(2, n_max + 1, 2):
         ns.append(2 ** n + 2 ** (n - 1))
@@ -406,7 +384,7 @@ class EtaRow:
 def eta_row(x: int) -> EtaRow:
     """The EtaRow of x >= 1, computed on its own, so that a table of any
     length can be printed row by row."""
-    x = index(x)
+    x = _at_least(x, 1, "eta_row needs x")
     d = eta_defined(x)
     e = eta_derived(x)
     return EtaRow(x, d, e, d == e)
@@ -414,9 +392,7 @@ def eta_row(x: int) -> EtaRow:
 
 def eta_rows(x_max: int) -> list:
     """EtaRows for all odd x up to x_max."""
-    x_max = index(x_max)
-    if x_max < 1:
-        raise ValueError("eta_rows needs x_max >= 1")
+    x_max = _at_least(x_max, 1, "eta_rows needs x_max")
     return [eta_row(x) for x in range(1, x_max + 1, 2)]
 
 

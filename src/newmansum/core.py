@@ -61,19 +61,26 @@ __all__ = [
 ]
 
 
+def _at_least(n, least: int, what: str) -> int:
+    """index(n), checked to be at least ``least``; below it, raises
+    ValueError(f"{what} >= {least}")."""
+    # newman_sum_decomposition, newman_sum_recursive and alt_exponent_sum keep
+    # their checks inline: verify.run_core_checks calls each once per N
+    n = index(n)
+    if n < least:
+        raise ValueError(f"{what} >= {least}")
+    return n
+
+
 def digit_sum(n: int) -> int:
     """Number of ones in the binary expansion of n (the binary digit sum)."""
-    n = index(n)
-    if n < 0:
-        raise ValueError("digit_sum needs n >= 0")
+    n = _at_least(n, 0, "digit_sum needs n")
     return n.bit_count()
 
 
 def thue_morse_sign(n: int) -> int:
     """(-1)^digit_sum(n): +1 when n has evenly many binary ones, else -1."""
-    n = index(n)
-    if n < 0:
-        raise ValueError("thue_morse_sign needs n >= 0")
+    n = _at_least(n, 0, "thue_morse_sign needs n")
     return -1 if n.bit_count() & 1 else 1
 
 
@@ -82,9 +89,7 @@ def bit_exponents(x: int) -> list:
 
     The powers 2^k over the returned exponents sum back to x exactly.
     """
-    x = index(x)
-    if x < 0:
-        raise ValueError("bit_exponents needs x >= 0")
+    x = _at_least(x, 0, "bit_exponents needs x")
     top = x.bit_length() - 1
     return [top - i for i, bit in enumerate(format(x, "b")) if bit == "1"]
 
@@ -113,9 +118,7 @@ def power_sum(m: int) -> int:
 
     m = 0 is the single summand n = 0, so S_{3,0}(1) = 1.
     """
-    m = index(m)
-    if m < 0:
-        raise ValueError("power_sum needs m >= 0")
+    m = _at_least(m, 0, "power_sum needs m")
     if m == 0:
         return 1
     if m % 2 == 0:
@@ -131,9 +134,7 @@ def dyadic_sum(n_parity: str, m: int) -> int:
     m = 0 is outside this closed form; single-point intervals are handled
     by ``boundary_term``.
     """
-    m = index(m)
-    if m < 1:
-        raise ValueError("dyadic_sum needs m >= 1")
+    m = _at_least(m, 1, "dyadic_sum needs m")
     if n_parity not in ("even", "odd"):
         raise ValueError("n_parity must be 'even' or 'odd'")
     if m % 2 == 0:
@@ -190,9 +191,7 @@ def decomposition_terms(x: int) -> list:
     """The terms summed by ``newman_sum_decomposition``, in processing
     order (descending bits): one (description, c, j) per set bit, where
     the term is c * 3^j with c in -2..2."""
-    x = index(x)
-    if x < 0:
-        raise ValueError("decomposition_terms needs x >= 0")
+    x = _at_least(x, 0, "decomposition_terms needs x")
     terms = []
     t = 0
     for k in bit_exponents(x):
@@ -218,9 +217,7 @@ _CORRECTION = (0, -1, -1, 1, 1, -1, -1, 0, 0, 0, 1, -1,
 
 def recursion_correction(N: int) -> int:
     """c(N) in S_{3,0}(N) = 3*S_{3,0}(N//4) + c(N), for N >= 1."""
-    N = index(N)
-    if N < 1:
-        raise ValueError("recursion_correction needs N >= 1")
+    N = _at_least(N, 1, "recursion_correction needs N")
     c = _CORRECTION[N % 24]
     return -c if N.bit_count() & 1 else c
 
@@ -243,9 +240,7 @@ def recursion_trace(N: int) -> list:
 
     S_{3,0}(N) = sum of 3^k * c_k over the returned list.
     """
-    N = index(N)
-    if N < 0:
-        raise ValueError("recursion_trace needs N >= 0")
+    N = _at_least(N, 0, "recursion_trace needs N")
     state = 0
     corrections = []
     for byte in N.to_bytes((N.bit_length() + 7) // 8, "big"):
@@ -275,9 +270,7 @@ def residue_sum(l: int, N: int, evaluate=newman_sum_recursive) -> int:
     S_{3,0} is computed by ``evaluate``, the divide-by-four recursion
     unless another evaluator such as ``newman_sum_decomposition`` is given.
     """
-    l, N = index(l), index(N)
-    if N < 0:
-        raise ValueError("residue_sum needs N >= 0")
+    l, N = index(l), _at_least(N, 0, "residue_sum needs N")
     if l not in (0, 1, 2):
         raise ValueError("residue must be 0, 1 or 2")
     return sum(c * evaluate(N << i) for i, c in enumerate(_RESIDUE_ROWS[l]))
@@ -313,12 +306,11 @@ def scaled_residue_sum(m: int, k: int, r: int, n: int) -> int:
     Dropping the low m bits maps the class onto S_{3,k}(2^(n-m)), with the
     Thue-Morse sign of the fixed low part r as a global factor.
     """
-    m, k, r, n = index(m), index(k), index(r), index(n)
-    if m < 0:
-        raise ValueError("scaled_residue_sum needs m >= 0")
+    m = _at_least(m, 0, "scaled_residue_sum needs m")
+    k, r, n = index(k), index(r), index(n)
     if k not in (0, 1, 2):
         raise ValueError("k must be 0, 1 or 2")
-    if not 0 <= r < 2 ** m:
+    if r < 0 or r.bit_length() > m:   # 0 <= r < 2^m without building 2^m
         raise ValueError("r must satisfy 0 <= r < 2^m")
     if n <= m:
         raise ValueError("scaled_residue_sum needs n > m")

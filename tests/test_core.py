@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -410,12 +411,26 @@ def test_scaled_residue_examples():
 
 
 def test_scaled_residue_rejects_bad_args():
-    with pytest.raises(ValueError):
-        core.scaled_residue_sum(2, 1, 4, 6)  # r >= 2^m
+    for m, r in ((2, 4), (2, -1), (0, 1), (0, -1)):   # r outside 0..2^m - 1
+        with pytest.raises(ValueError, match=r"^r must satisfy 0 <= r < 2\^m$"):
+            core.scaled_residue_sum(m, 1, r, 6)
     with pytest.raises(ValueError):
         core.scaled_residue_sum(3, 1, 0, 3)  # n <= m
     with pytest.raises(ValueError):
         core.scaled_residue_sum(1, 3, 0, 4)  # bad k
+
+
+def test_scaled_residue_range_check_builds_no_power_of_two():
+    # r = 0 at m = 10^7: a check of r < 2^m that builds 2 ** m peaks over 4 MiB
+    m = 10 ** 7
+    tracemalloc.start()
+    try:
+        value = core.scaled_residue_sum(m, 1, 0, m + 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert value == core.residue_sum(1, 4) == -1
+    assert peak < 2 ** 20
 
 
 def test_scaled_residue_vs_brute():
@@ -472,3 +487,50 @@ def test_index_objects_accepted():
             fn(_Index(bad))
     with pytest.raises(ValueError):
         next(analysis.scan(_Index(5), _Index(5)))
+
+
+# Every function that takes a natural-number argument, as a one-argument call,
+# with the least value it accepts and its ValueError text below that.
+# bound_blocks and scan are generators, so they check at the first next().
+_NATURAL_ARGUMENTS = (
+    (core.digit_sum, 0, "digit_sum needs n >= 0"),
+    (core.thue_morse_sign, 0, "thue_morse_sign needs n >= 0"),
+    (core.bit_exponents, 0, "bit_exponents needs x >= 0"),
+    (core.alt_exponent_sum, 1, "alt_exponent_sum needs y >= 1"),
+    (core.power_sum, 0, "power_sum needs m >= 0"),
+    (lambda m: core.dyadic_sum("odd", m), 1, "dyadic_sum needs m >= 1"),
+    (core.newman_sum_decomposition, 0, "newman_sum_decomposition needs x >= 0"),
+    (core.decomposition_terms, 0, "decomposition_terms needs x >= 0"),
+    (core.recursion_correction, 1, "recursion_correction needs N >= 1"),
+    (core.newman_sum_recursive, 0, "newman_sum_recursive needs N >= 0"),
+    (core.recursion_trace, 0, "recursion_trace needs N >= 0"),
+    (lambda N: core.residue_sum(2, N), 0, "residue_sum needs N >= 0"),
+    (lambda m: core.scaled_residue_sum(m, 1, 0, 3), 0, "scaled_residue_sum needs m >= 0"),
+    (analysis.delta, 1, "delta needs N >= 1"),
+    (analysis.lower_bound, 1, "lower_bound needs N >= 1"),
+    (analysis.upper_bound, 2, "upper_bound needs N >= 2"),
+    (analysis.coquet_ratio, 2, "coquet_ratio needs x >= 2"),
+    (analysis.newman_inequality_check, 1, "newman_inequality_check needs x >= 1"),
+    (analysis.eta_defined, 1, "eta_defined needs x >= 1"),
+    (analysis.eta_derived, 1, "eta_derived needs x >= 1"),
+    (analysis.eta_half, 0, "eta_half needs k >= 0"),
+    (analysis.delta_record, 1, "delta_record needs N >= 1"),
+    (lambda n: next(analysis.bound_blocks(n)), 1, "bound_blocks needs max_n >= 1"),
+    (analysis.extremal_sequences, 8, "extremal_sequences needs n_max >= 8"),
+    (lambda start: next(analysis.scan(start, 9)), 1, "scan needs 1 <= start < stop"),
+    (lambda step: next(analysis.scan(1, 9, step)), 1, "scan needs step >= 1"),
+    (analysis.eta_row, 1, "eta_row needs x >= 1"),
+    (analysis.eta_rows, 1, "eta_rows needs x_max >= 1"),
+)
+
+
+@pytest.mark.parametrize("fn, least, message", _NATURAL_ARGUMENTS,
+                         ids=[m.split()[0] for _, _, m in _NATURAL_ARGUMENTS])
+def test_natural_argument_contract(fn, least, message):
+    fn(least)
+    fn(_Index(least))
+    with pytest.raises(ValueError) as exc:
+        fn(least - 1)
+    assert str(exc.value) == message
+    with pytest.raises(TypeError):
+        fn(1.5)
