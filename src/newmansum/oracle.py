@@ -20,6 +20,7 @@ would silently run for hours.
 
 import os
 from array import array
+from decimal import Decimal
 from itertools import accumulate, chain
 
 __all__ = [
@@ -70,8 +71,9 @@ def _check_class(modulus, residue):
 def _check_cap(bound):
     cap = oracle_cap()
     if bound > cap:
-        raise OracleCapError(
-            f"oracle cap: enumerating up to {bound} exceeds the cap of {cap}")
+        # through Decimal, which has no int->str length limit
+        raise OracleCapError(f"oracle cap: enumerating up to {Decimal(bound)} "
+                             f"exceeds the cap of {Decimal(cap)}")
 
 
 def _signs(modulus, residue, start, stop):

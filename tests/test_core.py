@@ -342,21 +342,26 @@ def test_horner_and_assemble_paths_agree(monkeypatch):
 
 def test_assemble():
     assert core._assemble([]) == 0
-    assert core._assemble([2, -1, 0, 4]) == 2 - 81 + 4 * 81 ** 3
+    assert core._assemble([4, 0, -1, 2]) == 4 * 81 ** 3 - 81 + 2
+    assert core._assemble([5, 0, 0]) == 5 * 81 ** 2     # an odd level's padding is on top
     rng = random.Random(7)
-    # lengths up to one limb go through the limb loop too
-    for n in (*range(core._LIMB + 2), 5 * core._LIMB + 3, 1000):
+    # odd and even lengths at every merge level of the short lists
+    for n in (*range(20), 45, 1000):
         digits = [rng.randint(-121, 121) for _ in range(n)]
-        assert core._assemble(digits) == sum(d * 81 ** i for i, d in enumerate(digits))
+        want = sum(d * 81 ** i for i, d in enumerate(reversed(digits)))
+        assert core._assemble(digits) == want, n
 
 
 def test_fast_paths_at_2_16_bits():
-    N = random.Random(16).getrandbits(2 ** 16) | 1 << (2 ** 16 - 1)
-    # the recursion level by level, without a 2^15-entry trace list
-    want = _horner([core.recursion_correction(N >> 2 * k)
-                    for k in range((N.bit_length() + 1) // 2)])
-    assert core.newman_sum_recursive(N) == want
-    assert core.newman_sum_decomposition(N) == want
+    # 2^16 bits: 8192 digits halve evenly to one; 5461 bytes: the digit count
+    # is odd at seven merge levels
+    for bits in (2 ** 16, 8 * 5461):
+        N = random.Random(16).getrandbits(bits) | 1 << (bits - 1)
+        # the recursion level by level, without a 2^15-entry trace list
+        want = _horner([core.recursion_correction(N >> 2 * k)
+                        for k in range((N.bit_length() + 1) // 2)])
+        assert core.newman_sum_recursive(N) == want, bits
+        assert core.newman_sum_decomposition(N) == want, bits
 
 
 # ------------------------------------------------------------- residue classes

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import brute
-from newmansum import oracle
+from newmansum import oracle, verify
 
 
 def test_backend_is_reported():
@@ -135,3 +135,18 @@ def test_pure_kernel_handles_beyond_word_range(monkeypatch):
     monkeypatch.setenv("NEWMANSUM_ORACLE_CAP", str(base + 30))
     want = sum(brute.sign(n) for n in range(base, base + 30) if n % 3 == 0)
     assert oracle.oracle_interval_sum(3, 0, base, base + 30) == want
+
+
+def test_cap_error_past_the_int_str_limit():
+    # a bound of 5001 digits is past CPython's 4300-digit int->str limit
+    bound = 10 ** 5000
+    text = (f"oracle cap: enumerating up to 1{'0' * 5000} "
+            f"exceeds the cap of {oracle.DEFAULT_ORACLE_CAP}")
+    for call in (lambda: oracle.oracle_sum(3, 0, bound),
+                 lambda: oracle.oracle_interval_sum(3, 0, 0, bound),
+                 lambda: oracle.oracle_prefix(3, 0, bound),
+                 lambda: verify.run_core_checks(bound),
+                 lambda: verify.bounds_sweep(bound)):
+        with pytest.raises(oracle.OracleCapError) as exc:
+            call()
+        assert str(exc.value) == text
