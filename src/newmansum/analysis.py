@@ -13,16 +13,18 @@ be off by one.
 
 Sweeps evaluate float first, one function per bound: ``_lower`` and
 ``_upper``, called by ``delta_record`` (so ``scan``), ``bound_blocks``
-and ``verify.bounds_sweep`` for just the bounds they test.
-``bound_blocks`` walks the 4-adic blocks of the recursion transducer: a
-block's least and greatest S come from a min/max dynamic program over the
-transducer's states, and a block whose extremes clear the lower bound at
-its last N and the upper at its first clears both, and Newman's looser
-inequality, at every N in it.  For N <= 10^9 a bound is read from the
-float N**LAMBDA and escalates to the exact function only when that float
-lies within 1e-6 of an integer, and delta's 12-digit text escalates to
-``format_significant(delta(N, S))`` only when S/N**LAMBDA could round
-differently from the exact value.  Past 10^9 every value is exact.
+and ``verify.bounds_sweep`` for just the bounds they test; ``delta_record``
+takes the float N**LAMBDA once per row and reads both bounds and delta
+from it.  ``bound_blocks`` walks the 4-adic blocks of the recursion
+transducer: a block's least and greatest S come from a min/max dynamic
+program over the transducer's states, and a block whose extremes clear
+the lower bound at its last N and the upper at its first clears both,
+and Newman's looser inequality, at every N in it.  For N <= 10^9 a bound
+is read from the float N**LAMBDA and escalates to the exact function only
+when that float lies within 1e-6 of an integer, and delta's 12-digit text
+escalates to ``format_significant(delta(N, S))`` only when S/N**LAMBDA,
+widened by an error bound that grows with the bit length of N, could
+round differently from the exact value.  Past 10^9 every value is exact.
 
 The sharp constants are never hard-coded as decimals; they are evaluated
 on demand from their closed forms:
@@ -74,15 +76,26 @@ _DPS = 40          # working precision, comfortably past the required 30
 LAMBDA = math.log(3) / math.log(4)
 
 # The float fast path of _lower, _upper and delta_record.  For
-# 1 <= N <= _FAST_MAX the float N**LAMBDA is within 1.4e-15 relative of
-# N^lam (LAMBDA is 5.8e-17 above lam, ln(10^9) < 21, plus pow's rounding),
-# and the constant's product or S's quotient adds under 4e-16 more.  So
-# each bound's value, below 10^7 there, is within 2e-8 of the exact one,
-# far inside _BOUND_MARGIN, and S/N**LAMBDA is within 2e-15 relative of
-# delta, inside _DELTA_ERR.
+# 1 <= N <= _FAST_MAX, N < 2^bits with bits = N.bit_length(), the float
+# p = N**LAMBDA differs from N^lam relatively by at most
+#   - the exponent error |LAMBDA - lam| * ln N: LAMBDA is 5.82e-17 above
+#     lam and ln N < bits * ln 2, so it is under 4.03e-17 * bits, which
+#     _ERR_BIT * bits covers, with no log call, and
+#   - pow's rounding, under one ulp: 2^-52 = 2.2e-16.
+# Bounds: the constant's product adds under 4e-16 more, so each bound's
+# value, below 10^7 there, is within 2e-8 of the exact one, far inside
+# _BOUND_MARGIN.  Delta: d = S/p adds the quotient's rounding, 2^-53 =
+# 1.1e-16, and _delta_text's ends d*(1 -+ e) add the rounding of 1 -+ e
+# and of the product, under 1.7e-16 relative together.  _ERR_ROUND sums
+# these three rounding terms; so the two ends enclose delta whenever
+# e >= _ERR_BIT * bits + _ERR_ROUND, and _delta_text takes e as
+# _ERR_SAFETY times that.  The worst relative error of d measured over
+# N <= 5001 and 3000 random N in [10^8, 10^9] was 7.4e-17 * bits.
 _FAST_MAX = 10 ** 9
 _BOUND_MARGIN = 1e-6
-_DELTA_ERR = 1e-14
+_ERR_BIT = 4.1e-17
+_ERR_ROUND = 5.1e-16
+_ERR_SAFETY = 2
 _C_LO = 2 / 6 ** LAMBDA           # lower bound argument = _C_LO * N^lam
 _C_HI = 55 / 3 / 65 ** LAMBDA     # upper bound argument = _C_HI * N^lam
 
@@ -205,23 +218,24 @@ def eta_half(k: int) -> int:
             + 3 * thue_morse_sign(3 * k))
 
 
-def _float_first(N: int, c: float, rounder, exact) -> int:
-    """rounder(c * N**LAMBDA) where that float can tell, else ``exact(N)``."""
-    if N <= _FAST_MAX:
-        v = c * N ** LAMBDA
-        if _BOUND_MARGIN < v % 1 < 1 - _BOUND_MARGIN:
-            return rounder(v)
+def _float_first(N: int, v: float, rounder, exact) -> int:
+    """rounder(v), v the float of a bound's argument at N <= _FAST_MAX,
+    where v lies over _BOUND_MARGIN from an integer; else ``exact(N)``."""
+    if _BOUND_MARGIN < v % 1 < 1 - _BOUND_MARGIN:
+        return rounder(v)
     return exact(N)
 
 
 def _lower(N: int) -> int:
     """``lower_bound(N)`` for N >= 1, from the float N**LAMBDA where it can tell."""
-    return _float_first(N, _C_LO, math.floor, lower_bound)
+    return (_float_first(N, _C_LO * N ** LAMBDA, math.floor, lower_bound)
+            if N <= _FAST_MAX else lower_bound(N))
 
 
 def _upper(N: int) -> int:
     """``upper_bound(N)`` for N >= 2, from the float N**LAMBDA where it can tell."""
-    return _float_first(N, _C_HI, math.ceil, upper_bound)
+    return (_float_first(N, _C_HI * N ** LAMBDA, math.ceil, upper_bound)
+            if N <= _FAST_MAX else upper_bound(N))
 
 
 def _extremes(steps, levels: int):
@@ -291,18 +305,20 @@ def bound_blocks(max_n: int, _top=math.inf):
                 stack.append((4 * m + d, j - 1, 3 * S + c, t))
 
 
-def _delta_text(d: float) -> str | None:
-    """``format_significant(delta)`` from a float d within _DELTA_ERR
-    relative of delta, or None where d cannot tell.
+def _delta_text(d: float, bits: int) -> str | None:
+    """``format_significant(delta)`` from d = S/N**LAMBDA at an N of
+    ``bits`` bits, N <= _FAST_MAX, or None where d cannot tell.
 
-    Rounding is monotone, so if both ends of d's error interval print
-    alike, delta prints so too.  '%.12g' and ``mp.nstr`` differ only in
-    the form of integral values ('1' against '1.0') and of exponents, so
-    those go to the exact path as well.
+    d is within _ERR_BIT * bits + _ERR_ROUND relative of delta, so delta
+    lies between d*(1 - e) and d*(1 + e) for e _ERR_SAFETY times that.
+    Correctly rounded formatting is monotone, so if both ends print alike,
+    delta prints so too.  '%.12g' and ``mp.nstr`` differ only in the form
+    of integral values ('1' against '1.0') and of exponents, so those go
+    to the exact path as well.
     """
-    text = "%.12g" % d
-    if ("." in text and "e" not in text
-            and "%.12g" % (d * (1 - _DELTA_ERR)) == text == "%.12g" % (d * (1 + _DELTA_ERR))):
+    e = _ERR_SAFETY * (_ERR_BIT * bits + _ERR_ROUND)
+    text = "%.12g" % (d * (1 - e))
+    if "." in text and "e" not in text and text == "%.12g" % (d * (1 + e)):
         return text
     return None
 
@@ -313,8 +329,9 @@ class DeltaRecord:
     12 significant digits, the two sharp bounds (upper is None for N < 2
     where it is not defined), and whether S sits inside them.
 
-    delta is a float within 1e-14 relative for N <= 10^9 and an mpf past
-    that; delta_text is exact at every N."""
+    delta is S/N**LAMBDA, a float within 2e-15 relative (under
+    _ERR_BIT * bits + _ERR_ROUND at N of ``bits`` bits), for N <= 10^9 and
+    an mpf past that; delta_text is exact at every N."""
 
     N: int
     S: int
@@ -329,14 +346,16 @@ def delta_record(N: int) -> DeltaRecord:
     """Assemble the DeltaRecord for one N >= 1."""
     N = _at_least(N, 1, "delta_record needs N")
     S = newman_sum_recursive(N)
-    lo = _lower(N)
-    hi = _upper(N) if N >= 2 else None
     if N > _FAST_MAX:
+        lo, hi = lower_bound(N), upper_bound(N)
         d = delta(N, S)
         text = format_significant(d)
     else:
-        d = S / N ** LAMBDA
-        text = _delta_text(d) or format_significant(delta(N, S))
+        p = N ** LAMBDA
+        lo = _float_first(N, _C_LO * p, math.floor, lower_bound)
+        hi = _float_first(N, _C_HI * p, math.ceil, upper_bound) if N >= 2 else None
+        d = S / p
+        text = _delta_text(d, N.bit_length()) or format_significant(delta(N, S))
     ok = lo <= S and (hi is None or S <= hi)
     return DeltaRecord(N, S, d, text, lo, hi, ok)
 

@@ -332,10 +332,14 @@ def scaled_residue_sum(m: int, k: int, r: int, n: int) -> int:
 # integers by a linear scan and, for long x, a divide-and-conquer sum whose
 # cost is bounded by big-integer multiplication.
 
-# Bytes of x up to which _run sums its digits by Horner in the scan loop.
-# A _run call through _assemble takes 1.2 times as long as by Horner at 128
-# bytes, 1.05 at 192 and 0.9 at 256: the switch sits below the crossover.
-_HORNER_BYTES = 128
+# Bytes of x up to which _run sums its digits by Horner in the scan loop:
+# the largest size at which Horner's median time was the lower.  Medians of
+# 41 alternating in-process timings of 20 random x (2 vCPU, CPython 3.11.7;
+# five runs): Horner / _assemble took 28.5-41.3 / 32.6-47.3 us at 160
+# bytes, 34.5-37.3 / 36.7-39.1 us at 192, 41.8-54.5 / 41.9-55.0 us at 224
+# (Horner lower in four runs of five, by under 2 %) and 49.9-60.9 /
+# 48.0-49.6 us at 256 (lower in none).
+_HORNER_BYTES = 224
 
 
 def _assemble(digits) -> int:

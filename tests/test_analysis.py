@@ -196,13 +196,13 @@ def test_float_first_escalation_counts(monkeypatch):
     # zero margin and a wider one change these counts; past 10^9 every
     # bound a block end asks for is exact.  bounds_sweep's counts include
     # its 200 spot checks of the float bounds against the exact ones.
-    counts = {"lower_bound": 0, "upper_bound": 0}
+    counts = {"lower_bound": 0, "upper_bound": 0, "delta": 0}
     for name in counts:
         exact = getattr(analysis, name)
 
-        def counted(N, name=name, exact=exact):
+        def counted(*args, name=name, exact=exact):
             counts[name] += 1
-            return exact(N)
+            return exact(*args)
         monkeypatch.setattr(analysis, name, counted)
 
     def calls(run):
@@ -214,6 +214,10 @@ def test_float_first_escalation_counts(monkeypatch):
     assert calls(lambda: list(analysis.bound_blocks(10 ** 6))) == (0, 21)
     assert calls(lambda: verify.bounds_sweep(10 ** 6)) == (109, 127)
     assert calls(lambda: list(analysis.scan(2, 5002))) == (5, 3)
+    # the same rows' exact deltas: the float text escalates only where the
+    # per-N margin of _delta_text straddles a 12-digit rounding boundary
+    # (54 with the old fixed margin of 1e-14; none with no margin)
+    assert counts["delta"] == 10
     assert calls(lambda: list(analysis.bound_blocks(2 ** 40))) == (1206, 1175)
 
 
@@ -315,14 +319,48 @@ def _exact_row(N):
     (1, 5003, 1),
     (1, 20003, 7),
     (10 ** 9 - 3, 10 ** 9 + 4, 1),     # across the float path's limit
+    # where the float path's error bound is widest: 500 seeded random N
+    pytest.param(10 ** 8, 10 ** 9, None, id="500-random-N-in-1e8-1e9"),
 ])
 def test_scan_rows_match_exact_functions(start, stop, step):
-    for rec in analysis.scan(start, stop, step):
+    if step is None:
+        sample = sorted(random.Random(start).sample(range(start, stop), 500))
+        rows = map(analysis.delta_record, sample)
+    else:
+        rows = analysis.scan(start, stop, step)
+    for rec in rows:
         d, row = _exact_row(rec.N)
         assert (rec.N, rec.S, rec.delta_text, rec.lower, rec.upper) == row
         assert rec.in_bounds == (rec.lower <= rec.S
                                  and (rec.upper is None or rec.S <= rec.upper))
-        assert abs(rec.delta / d - 1) < 1e-14
+        assert abs(rec.delta / d - 1) < analysis._ERR_BIT * rec.N.bit_length() + analysis._ERR_ROUND
+
+
+def test_float_delta_lies_inside_the_derived_error_bound():
+    # _delta_text's premise: d = S/N**LAMBDA is within
+    # _ERR_BIT * bits + _ERR_ROUND relative of the exact delta (the bound
+    # derived above analysis._FAST_MAX), at every bit length it serves
+    rng = random.Random(2023)
+    ns = [*range(1, 5003), *range(10 ** 9 - 1000, 10 ** 9 + 1)]
+    ns += [rng.randrange(1 << b - 1, 1 << b) for b in range(2, 31) for _ in range(20)]
+    with mp.workdps(40):
+        for N in ns:
+            S = core.newman_sum_recursive(N)
+            err = abs(S / N ** analysis.LAMBDA / analysis.delta(N, S) - 1)
+            assert err < analysis._ERR_BIT * N.bit_length() + analysis._ERR_ROUND, N
+
+
+def test_delta_text_margin_is_the_safety_factor_times_the_bound():
+    # _delta_text widens d by _ERR_SAFETY >= 2 times the derived bound:
+    # it escalates a d 1.5 bounds above a 12-digit rounding boundary t,
+    # and prints one 3 bounds above it
+    assert analysis._ERR_SAFETY >= 2
+    t = 0.9000000000005
+    for bits in range(12, 31):
+        bound = analysis._ERR_BIT * bits + analysis._ERR_ROUND
+        assert analysis._delta_text(t * (1 + 1.5 * bound), bits) is None, bits
+        assert analysis._delta_text(t * (1 + 3 * bound), bits) == "0.900000000001", bits
+        assert analysis._delta_text(t * (1 - 3 * bound), bits) == "0.9", bits
 
 
 def test_extremal_families_escalate_to_exact_bounds(monkeypatch):
