@@ -12,19 +12,19 @@ upper) sit exactly on integer boundaries, so naive rounding there would
 be off by one.
 
 Sweeps evaluate float first, one function per bound: ``_lower`` and
-``_upper``, called by ``delta_record`` (so ``scan``), ``bound_blocks``
-and ``verify.bounds_sweep`` for just the bounds they test; ``delta_record``
-takes the float N**LAMBDA once per row and reads both bounds and delta
-from it.  ``bound_blocks`` walks the 4-adic blocks of the recursion
-transducer: a block's least and greatest S come from a min/max dynamic
-program over the transducer's states, and a block whose extremes clear
-the lower bound at its last N and the upper at its first clears both,
-and Newman's looser inequality, at every N in it.  For N <= 10^9 a bound
-is read from the float N**LAMBDA and escalates to the exact function only
-when that float lies within 1e-6 of an integer, and delta's 12-digit text
-escalates to ``format_significant(delta(N, S))`` only when S/N**LAMBDA,
-widened by an error bound that grows with the bit length of N, could
-round differently from the exact value.  Past 10^9 every value is exact.
+``_upper``, called by ``bound_blocks`` and ``verify.bounds_sweep`` for
+just the bounds they test; ``delta_record`` (so ``scan``) passes its one
+float N**LAMBDA per row to ``_float_first`` and reads delta from it.
+``bound_blocks`` walks the 4-adic blocks of the recursion transducer: a
+block's least and greatest S come from a min/max dynamic program over the
+transducer's states, and a block whose extremes clear the lower bound at
+its last N and the upper at its first clears both, and Newman's looser
+inequality, at every N in it.  For N <= 10^9 a bound is read from the
+float N**LAMBDA and escalates to the exact function only when that float
+lies within 1e-6 of an integer, and delta's 12-digit text escalates to
+``format_significant(delta(N, S))`` only when S/N**LAMBDA, widened by an
+error bound that grows with the bit length of N, could round differently
+from the exact value.  Past 10^9 every value is exact.
 
 The sharp constants are never hard-coded as decimals; they are evaluated
 on demand from their closed forms:

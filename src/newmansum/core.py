@@ -376,12 +376,12 @@ def _byte_table(step) -> tuple:
     the byte's four output digits as one radix-81 digit
     d0 + 3*d1 + 9*d2 + 27*d3, d0 from the lowest bits.
     """
+    # one pair stage: pairs[state][p] is (state, lo + 3*hi) after the base-4
+    # digits hi, lo of p; a byte steps through its high pair, then its low pair
     table = _step_table(step)
-    for shift in (3, 9):   # one digit to two, two to four: the high part first
-        table = [[(s2, lo + shift * hi) for s1, hi in row for s2, lo in table[s1]]
-                 for row in table]
-    return (array("H", [s << 8 for row in table for s, _ in row]),
-            array("b", [c for row in table for _, c in row]))
+    pairs = [[(s2, lo + 3 * hi) for s1, hi in row for s2, lo in table[s1]] for row in table]
+    return (array("H", (t << 8 for row in pairs for s, _ in row for t, _ in pairs[s])),
+            array("b", (lo + 9 * hi for row in pairs for s, hi in row for _, lo in pairs[s])))
 
 
 def _run(x: int, step) -> int:

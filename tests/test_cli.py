@@ -528,6 +528,22 @@ def test_import_builds_no_parser():
     assert proc.returncode == 0, proc.stderr
 
 
+def test_import_builds_no_byte_table():
+    # the digit scan's byte tables are built at the first scan, not at import
+    code = "\n".join([
+        "import contextlib, io",
+        "import newmansum.cli",
+        "from newmansum import core",
+        "assert core._byte_table.cache_info().currsize == 0, core._byte_table.cache_info()",
+        "with contextlib.redirect_stdout(io.StringIO()):",
+        "    assert newmansum.cli.main(['eval', '19']) == 0",
+        "assert core._byte_table.cache_info().currsize == 1, core._byte_table.cache_info()",
+    ])
+    proc = subprocess.run([sys.executable, "-c", code],
+                          capture_output=True, text=True, env=_package_env())
+    assert proc.returncode == 0, proc.stderr
+
+
 # ---------------------------------------------------------------- packaging
 
 def _package_env():

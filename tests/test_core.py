@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import brute
+import digit_dp
 import walks
 from newmansum import analysis, core
 
@@ -364,6 +365,42 @@ def test_fast_paths_at_2_16_bits():
         assert core.newman_sum_decomposition(N) == want, bits
 
 
+@pytest.mark.parametrize("step, states", [(core._recursion_step, 12),
+                                          (core._decomposition_step, 6)])
+def test_byte_table_matches_digit_walk(step, states):
+    """Every (state, byte) entry against the byte's four base-4 digits walked
+    through the step table, top digit first, with the outputs summed by
+    Horner's rule in base 3."""
+    rows = core._step_table(step)
+    want_state, want_out = [], []
+    for state in range(states):
+        for byte in range(256):
+            s, value = state, 0
+            for shift in (6, 4, 2, 0):
+                s, c = rows[s][byte >> shift & 3]
+                value = 3 * value + c
+            want_state.append(s << 8)
+            want_out.append(value)
+    next_state, out = core._byte_table(step)
+    assert (next_state.typecode, out.typecode) == ("H", "b")
+    assert next_state.tolist() == want_state
+    assert out.tolist() == want_out
+
+
+def test_byte_table_build_peaks_small():
+    # the arrays take 9 KiB; the bound leaves room for one stage of 16-entry
+    # pair rows, not for a 3072-entry table of (state, digit) tuples
+    core._byte_table.cache_clear()
+    tracemalloc.start()
+    try:
+        core._byte_table(core._recursion_step)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        core._byte_table.cache_clear()
+    assert peak < 0.05 * 2 ** 20
+
+
 # ------------------------------------------------------------- residue classes
 
 def test_residue_sum_examples():
@@ -446,6 +483,33 @@ def test_scaled_residue_vs_brute():
                     want = brute.newman(3 * 2 ** m, k * 2 ** m + r, 2 ** n)
                     got = core.scaled_residue_sum(m, k, r, n)
                     assert got == want, (m, k, r, n)
+
+
+def test_digit_dp_matches_brute():
+    for m in range(1, 13):
+        prefs = [brute.prefix(m, l, 600) for l in range(m)]
+        for N in range(601):
+            assert digit_dp.sums(m, N) == [pref[N] for pref in prefs], (m, N)
+
+
+@pytest.mark.parametrize("bits", [2 ** 8, 2 ** 10, 2 ** 12, 2 ** 14])
+def test_residue_sums_match_digit_dp(bits):
+    """The evaluators and every residue sum at a seeded random N of ``bits``
+    bits, far past brute-force sizes, against the definition's digit DP."""
+    rng = random.Random(bits)
+    N = rng.getrandbits(bits) | 1 << bits - 1
+    want = digit_dp.sums(3, N)
+    assert core.newman_sum_recursive(N) == core.newman_sum_decomposition(N) == want[0]
+    assert [core.residue_sum(l, N) for l in range(3)] == want
+    assert [core.residue_sum(l, N, evaluate=core.newman_sum_decomposition)
+            for l in range(3)] == want
+    x = rng.randrange(N)
+    want = [b - a for a, b in zip(digit_dp.sums(6, 2 * x), digit_dp.sums(6, 2 * N))]
+    assert [core.six_residue_sum(j, x, N) for j in range(6)] == want
+    for m in range(4):
+        want = digit_dp.sums(3 * 2 ** m, 2 ** bits)
+        got = [core.scaled_residue_sum(m, k, r, bits) for k in range(3) for r in range(2 ** m)]
+        assert got == want, m
 
 
 class _Index:
