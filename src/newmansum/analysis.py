@@ -3,13 +3,21 @@ sequences, and the half-integer consistency check for Coquet's correction
 term.
 
 The public functions of the growth exponent lam = ln3/ln4 (``delta``,
-``lower_bound``, ``upper_bound``, ``coquet_ratio`` and the constants) are
-evaluated with mpmath at 40 significant digits.  The exact bounds are
-evaluated once, at 80 digits past the value's integer part, and a value
-within 1e-20 of an integer is snapped to it before floor or ceil; the
-extremal families (N = 6*4^k for the lower bound, N = 260*4^k for the
-upper) sit exactly on integer boundaries, so naive rounding there would
-be off by one.
+``coquet_ratio``, ``growth_exponent`` and the four constants) return
+``decimal.Decimal`` values of 40 significant digits.  Every exact value
+is one evaluation of (a/b)*x^lam, x <= 1 rational, in the standard
+library's ``decimal``, whose ln and exp are correctly rounded; so the
+operation count bounds its error (derived above ``_ERR_ULPS``).  An exact
+bound is evaluated at _GUARD digits past its integer part and is floored
+or ceiled only when the enclosure that error bound gives holds no
+integer.  The extremal families (N = 6*4^k for the lower bound,
+N = 65*4^k with k >= 1 for the upper) sit exactly on integers, where
+naive rounding would be off by one: an enclosure holding the integer of
+such a family point N0 is settled exactly at N0 and, as the bounds grow
+with N, at the N next to it.  Elsewhere the evaluation repeats with twice
+the digits, and past _MAX_GUARD digits raises ``PrecisionCapError``.  An
+exact delta text is decided the same way, from an enclosure of delta at
+25 digits.
 
 Sweeps evaluate float first, one function per bound: ``_lower`` and
 ``_upper``, called by ``bound_blocks`` and ``verify.bounds_sweep`` for
@@ -22,9 +30,9 @@ its last N and the upper at its first clears both, and Newman's looser
 inequality, at every N in it.  For N <= 10^9 a bound is read from the
 float N**LAMBDA and escalates to the exact function only when that float
 lies within 1e-6 of an integer, and delta's 12-digit text escalates to
-``format_significant(delta(N, S))`` only when S/N**LAMBDA, widened by an
-error bound that grows with the bit length of N, could round differently
-from the exact value.  Past 10^9 every value is exact.
+the exact text only when S/N**LAMBDA, widened by an error bound that
+grows with the bit length of N, could round differently from the exact
+value.  Past 10^9 every value is exact.
 
 The sharp constants are never hard-coded as decimals; they are evaluated
 on demand from their closed forms:
@@ -35,17 +43,19 @@ on demand from their closed forms:
     limsup  of S(3x)/x^lam over x          : (55/3)*(3/65)^lam
 """
 
+import decimal
 import math
 from dataclasses import dataclass
+from decimal import Decimal
+from functools import lru_cache
 from operator import index
-
-from mpmath import mp
 
 from .core import (_at_least, _recursion_step, _step_table, newman_sum_recursive,
                    thue_morse_sign)
 
 __all__ = [
     "LAMBDA",
+    "PrecisionCapError",
     "growth_exponent",
     "delta_liminf",
     "delta_limsup",
@@ -70,7 +80,23 @@ __all__ = [
     "format_significant",
 ]
 
-_DPS = 40          # working precision, comfortably past the required 30
+_DPS = 40          # significant digits of the public Decimal values
+_GUARD = 20        # digits past an exact bound's integer part, at first
+_TEXT_GUARD = 13   # digits past delta's 12 printed ones, at first
+_MAX_GUARD = 640   # the most digits past them that are ever tried
+
+# _power evaluates v = (a/b)*x^lam, x = xn/xd in [1/65, 1], at p digits in
+# nine correctly rounded operations (ROUND_HALF_EVEN), each within
+# u = 10^(1-p)/2 relative: x; ln 3, ln 4 and their quotient lam~, within
+# 3u of lam; ln x~; y = lam~*ln x~; exp(y); the product with a; the
+# quotient by b.  |lam*ln x| <= lam*ln 65 < 3.31, so y is within
+# 3.31*5u + lam*u < 17.4u of lam*ln x, the rounded exp(y) within 18.5u of
+# x^lam relatively, and the last two steps make v within 20.5u of its
+# computed value V, relatively, up to O(u^2).  V < 10^(E+1), E its
+# adjusted exponent, so that is under 105 units of 10^(E+1-p), the last
+# place of a p-digit number of V's size; _enclose widens V by _ERR_ULPS of
+# them.
+_ERR_ULPS = 110
 
 #: Float approximation of the growth exponent ln3/ln4.
 LAMBDA = math.log(3) / math.log(4)
@@ -100,57 +126,112 @@ _C_LO = 2 / 6 ** LAMBDA           # lower bound argument = _C_LO * N^lam
 _C_HI = 55 / 3 / 65 ** LAMBDA     # upper bound argument = _C_HI * N^lam
 
 
+class PrecisionCapError(ArithmeticError):
+    """An exact bound or delta text that _MAX_GUARD digits past its
+    integer or printed part could not decide."""
+
+
+def _context(prec: int) -> decimal.Context:
+    """A fresh decimal context of prec-digit evaluations, of any exponent."""
+    return decimal.Context(prec=prec, rounding=decimal.ROUND_HALF_EVEN,
+                           Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN)
+
+
+_EXACT = _context(decimal.MAX_PREC)   # adds the few digits of _enclose exactly
+
+
+@lru_cache(maxsize=64)
+def _lam(prec: int) -> Decimal:
+    """ln3/ln4 at prec digits: three correctly rounded operations, so
+    within 3u of lam, u as above _ERR_ULPS."""
+    ctx = _context(prec)
+    return ctx.divide(ctx.ln(3), ctx.ln(4))
+
+
+def _power(a: int, b: int, xn: int, xd: int, prec: int) -> Decimal:
+    """(a/b)*(xn/xd)^lam at prec digits, for positive integers with
+    1/65 <= xn/xd <= 1; within _ERR_ULPS units of the last place."""
+    ctx = _context(prec)
+    w = ctx.exp(ctx.multiply(_lam(prec), ctx.ln(ctx.divide(xn, xd))))
+    return ctx.divide(ctx.multiply(w, a), b)
+
+
+def _enclose(v: Decimal, prec: int):
+    """(lo, hi), exact, around the value that _power computed as v."""
+    err = _EXACT.scaleb(_ERR_ULPS, v.adjusted() + 1 - prec)
+    return _EXACT.subtract(v, err), _EXACT.add(v, err)
+
+
+def _guards(first: int):
+    """first, 2*first, 4*first, ... up to _MAX_GUARD: the digits past a
+    value's integer or printed part that are tried in turn."""
+    guard = first
+    while guard <= _MAX_GUARD:
+        yield guard
+        guard *= 2
+
+
 def growth_exponent():
-    """ln3/ln4 as an mpf at the working precision (4^lam = 3 exactly)."""
-    with mp.workdps(_DPS):
-        return _lam()
-
-
-def _lam():
-    # at ambient precision, so the exact bounds' wider precision sharpens it too
-    return mp.ln(3) / mp.ln(4)
+    """ln3/ln4 as a 40-digit Decimal (4^lam = 3 exactly)."""
+    return _lam(_DPS)
 
 
 def delta_liminf():
     """liminf of S_{3,0}(N)/N^lam: 2/6^lam, realized along N = 6*4^k."""
-    with mp.workdps(_DPS):
-        return 2 / mp.mpf(6) ** _lam()
+    return _power(2, 1, 1, 6, _DPS)
 
 
 def delta_limsup():
     """limsup of S_{3,0}(N)/N^lam: 55/(3*65^lam), realized along N = 260*4^k."""
-    with mp.workdps(_DPS):
-        return 55 / (3 * mp.mpf(65) ** _lam())
+    return _power(55, 3, 1, 65, _DPS)
 
 
 def ratio_liminf():
     """liminf of S_{3,0}(3x)/x^lam: 2/sqrt(3), attained at every x = 2*4^k."""
-    with mp.workdps(_DPS):
-        return 2 / mp.sqrt(3)
+    ctx = _context(_DPS)
+    return ctx.divide(2, ctx.sqrt(3))
 
 
 def ratio_limsup():
     """limsup of S_{3,0}(3x)/x^lam: (55/3)*(3/65)^lam."""
-    with mp.workdps(_DPS):
-        return mp.mpf(55) / 3 * (mp.mpf(3) / 65) ** _lam()
+    return _power(55, 3, 3, 65, _DPS)
 
 
-def _exact_round(N: int, num: int, den: int, base: int, rounder) -> int:
-    """floor or ceil of (num/den)*(N/base)^lam, snapping a value within
-    1e-20 of an integer to it.
+def _exact_round(N: int, num: int, den: int, base: int, up: int) -> int:
+    """floor (up = 0) or ceil (up = 1) of v = (num/den)*(N/base)^lam for a
+    base in [4, 65].
 
-    The precision is 2*_DPS digits past the value's integer part, which
-    is at most lam*log10(N) + 1 digits (0.2386 ~ lam*log10(2)).
+    With N = 4^e*f, 1 <= f < 4, v = (num*3^e/den)*(f/base)^lam, and
+    f/base lies in [1/65, 1].  So v has at most as many integer digits as
+    num*3^e // den; the evaluation carries _GUARD digits more, then twice
+    as many, up to _MAX_GUARD, until v's enclosure holds no integer.
+
+    An enclosure that holds one integer k is settled at once where one of
+    the two family points n0 = base*4^i around N, base*4^j <= N <
+    base*4^(j+1), has the value num*3^i/den = k.  v grows with N, so it
+    lies below k for N < n0, is k at n0, and lies above k for N > n0.
     """
-    with mp.workdps(2 * _DPS + int(0.2386 * N.bit_length()) + 2):
-        v = num * (mp.mpf(N) / base) ** _lam() / den
-        if abs(v - mp.nint(v)) < mp.mpf(10) ** (-20):
-            return int(mp.nint(v))
-        return int(rounder(v))
+    e = (N.bit_length() - 1) // 2
+    a, xd = num * 3 ** e, base << 2 * e
+    digits = (a // den).bit_length() * 30103 // 100000 + 1   # log10(2) < 0.30103
+    j = max((N // base).bit_length() - 1, 0) // 2       # base*4^j <= N, or j = 0
+    for guard in _guards(_GUARD):
+        prec = digits + guard
+        lo, hi = _enclose(_power(a, den, N, xd, prec), prec)
+        k = int(hi)                 # the greatest integer <= hi, as hi > 0
+        if k < lo:                  # no integer in [lo, hi]
+            return k + up
+        if k - 1 < lo:              # k alone
+            for i in (j, j + 1):
+                if num * 3 ** i == k * den:
+                    n0 = base << 2 * i
+                    return k + (N > n0) if up else k - (N < n0)
+    raise PrecisionCapError(f"a sharp bound at a {N.bit_length()}-bit N is not "
+                            f"decided {_MAX_GUARD} digits past its integer part")
 
 
 def delta(N: int, S: int | None = None):
-    """S_{3,0}(N) / N^lam as an mpf (>= 30 significant digits).
+    """S_{3,0}(N) / N^lam as a 40-digit Decimal.
 
     S may be passed in when already known; otherwise it is computed with
     the divide-by-four recursion.
@@ -158,20 +239,40 @@ def delta(N: int, S: int | None = None):
     N = _at_least(N, 1, "delta needs N")
     if S is None:
         S = newman_sum_recursive(N)
-    with mp.workdps(_DPS):
-        return S / mp.mpf(N) ** _lam()
+    return _delta_at(N, S, _DPS)
+
+
+def _delta_at(N: int, S: int, prec: int) -> Decimal:
+    """S/N^lam at prec digits, as (S/3^e)*(4^e/N)^lam with 4^e <= N < 4^(e+1)."""
+    e = (N.bit_length() - 1) // 2
+    return _power(S, 3 ** e, 1 << 2 * e, N, prec)
+
+
+def _exact_text(N: int, S: int) -> str:
+    """``format_significant`` of S/N^lam, S = S_{3,0}(N), from enclosures
+    of it at _TEXT_GUARD digits past the 12 printed ones, then twice as
+    many, up to _MAX_GUARD, until both ends print alike.  The printing
+    rounds monotonically, so then S/N^lam prints so too."""
+    for guard in _guards(_TEXT_GUARD):
+        prec = 12 + guard
+        lo, hi = _enclose(_delta_at(N, S, prec), prec)
+        text = format_significant(lo)
+        if text == format_significant(hi):
+            return text
+    raise PrecisionCapError(f"delta at a {N.bit_length()}-bit N is not decided "
+                            f"{_MAX_GUARD} digits past its 12th")
 
 
 def lower_bound(N: int) -> int:
     """floor(2*(N/6)^lam), a sharp lower bound for S_{3,0}(N), N >= 1."""
     N = _at_least(N, 1, "lower_bound needs N")
-    return _exact_round(N, 2, 1, 6, mp.floor)
+    return _exact_round(N, 2, 1, 6, 0)
 
 
 def upper_bound(N: int) -> int:
     """ceil((55/3)*(N/65)^lam), a sharp upper bound for S_{3,0}(N), N >= 2."""
     N = _at_least(N, 2, "upper_bound needs N")
-    return _exact_round(N, 55, 3, 65, mp.ceil)
+    return _exact_round(N, 55, 3, 65, 1)
 
 
 def coquet_ratio(x: int):
@@ -184,9 +285,7 @@ def coquet_ratio(x: int):
 def newman_inequality_check(x: int) -> bool:
     """Whether 1/20 < S_{3,0}(x) * x^(-lam) < 5 (Newman's inequality)."""
     x = _at_least(x, 1, "newman_inequality_check needs x")
-    r = delta(x)
-    with mp.workdps(_DPS):
-        return bool(mp.mpf(1) / 20 < r < 5)
+    return Decimal("0.05") < delta(x) < 5
 
 
 def eta_defined(x: int) -> int:
@@ -312,9 +411,9 @@ def _delta_text(d: float, bits: int) -> str | None:
     d is within _ERR_BIT * bits + _ERR_ROUND relative of delta, so delta
     lies between d*(1 - e) and d*(1 + e) for e _ERR_SAFETY times that.
     Correctly rounded formatting is monotone, so if both ends print alike,
-    delta prints so too.  '%.12g' and ``mp.nstr`` differ only in the form
-    of integral values ('1' against '1.0') and of exponents, so those go
-    to the exact path as well.
+    delta prints so too.  '%.12g' and ``format_significant`` differ only
+    in the form of integral values ('1' against '1.0') and of exponents,
+    so those go to the exact path as well.
     """
     e = _ERR_SAFETY * (_ERR_BIT * bits + _ERR_ROUND)
     text = "%.12g" % (d * (1 - e))
@@ -331,11 +430,11 @@ class DeltaRecord:
 
     delta is S/N**LAMBDA, a float within 2e-15 relative (under
     _ERR_BIT * bits + _ERR_ROUND at N of ``bits`` bits), for N <= 10^9 and
-    an mpf past that; delta_text is exact at every N."""
+    a 40-digit Decimal past that; delta_text is exact at every N."""
 
     N: int
     S: int
-    delta: object  # float or mpf
+    delta: object  # float or Decimal
     delta_text: str
     lower: int
     upper: int | None
@@ -349,13 +448,13 @@ def delta_record(N: int) -> DeltaRecord:
     if N > _FAST_MAX:
         lo, hi = lower_bound(N), upper_bound(N)
         d = delta(N, S)
-        text = format_significant(d)
+        text = _exact_text(N, S)
     else:
         p = N ** LAMBDA
         lo = _float_first(N, _C_LO * p, math.floor, lower_bound)
         hi = _float_first(N, _C_HI * p, math.ceil, upper_bound) if N >= 2 else None
         d = S / p
-        text = _delta_text(d, N.bit_length()) or format_significant(delta(N, S))
+        text = _delta_text(d, N.bit_length()) or _exact_text(N, S)
     ok = lo <= S and (hi is None or S <= hi)
     return DeltaRecord(N, S, d, text, lo, hi, ok)
 
@@ -415,8 +514,22 @@ def eta_rows(x_max: int) -> list:
     return [eta_row(x) for x in range(1, x_max + 1, 2)]
 
 
+# 12 significant digits, ties rounded away from zero
+_TWELVE = decimal.Context(prec=12, rounding=decimal.ROUND_HALF_UP,
+                          Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN)
+
+
 def format_significant(value) -> str:
-    """Decimal string of an mpf to 12 significant digits, no exponent
-    notation for the magnitudes a scan produces."""
-    with mp.workdps(_DPS):
-        return mp.nstr(mp.mpf(value), 12)
+    """A float, int or Decimal rounded half away from zero to 12
+    significant digits, in fixed notation where the leading digit's
+    exponent is between -4 and 11 ('0.483459078354', '1.0'), else in
+    exponent notation ('1.2e+12', '5.0e-7')."""
+    d = _TWELVE.plus(Decimal(value)).normalize(_TWELVE)
+    if not d:
+        return "0.0"
+    if -5 < d.adjusted() < 12:
+        mantissa, exponent = f"{d:f}", ""
+    else:
+        mantissa, _, exponent = f"{d:e}".partition("e")
+        exponent = "e" + exponent
+    return mantissa + exponent if "." in mantissa else f"{mantissa}.0{exponent}"

@@ -323,7 +323,7 @@ def main(argv=None) -> int:
         args = _parser.parse_args(argv)
         try:
             return args.func(args)
-        except oracle.OracleCapError as exc:
+        except (oracle.OracleCapError, analysis.PrecisionCapError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
 

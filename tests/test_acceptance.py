@@ -18,6 +18,12 @@ from mpmath import mp
 from newmansum import analysis, core, oracle, verify
 
 
+def _mpf(x):
+    """A public value, a Decimal or a float, as an mpf at the ambient
+    mpmath precision: a Decimal through its text, a float exactly."""
+    return mp.mpf(x if isinstance(x, float) else str(x))
+
+
 def _report(name, ok, detail=""):
     tail = f": {detail}" if detail else ""
     print(f"{'PASS' if ok else 'FAIL'} {name}{tail}")
@@ -137,21 +143,21 @@ def test_criterion_5_coquet_constants():
     # the exact op agrees with the float sweep at the attainment points
     with mp.workdps(40):
         for x in attained:
-            assert abs(analysis.coquet_ratio(x) - analysis.ratio_liminf()) < mp.mpf("1e-30")
+            assert abs(_mpf(analysis.coquet_ratio(x)) - _mpf(analysis.ratio_liminf())) < mp.mpf("1e-30")
 
     # exact plateaus of delta on the two extremal families
     with mp.workdps(40):
-        base_inf = analysis.delta(2 ** 2 + 2 ** 1)
+        base_inf = _mpf(analysis.delta(2 ** 2 + 2 ** 1))
         for n in range(2, 41, 2):
-            d = analysis.delta(2 ** n + 2 ** (n - 1))
+            d = _mpf(analysis.delta(2 ** n + 2 ** (n - 1)))
             assert abs(d - base_inf) / base_inf < mp.mpf("1e-12"), n
-        base_sup = analysis.delta(2 ** 8 + 2 ** 2)
+        base_sup = _mpf(analysis.delta(2 ** 8 + 2 ** 2))
         for n in range(8, 41, 2):
-            d = analysis.delta(2 ** n + 2 ** (n - 6))
+            d = _mpf(analysis.delta(2 ** n + 2 ** (n - 6)))
             assert abs(d - base_sup) / base_sup < mp.mpf("1e-12"), n
         # and the plateaus are the symbolic constants themselves
-        assert abs(base_inf - analysis.delta_liminf()) < mp.mpf("1e-30")
-        assert abs(base_sup - analysis.delta_limsup()) < mp.mpf("1e-30")
+        assert abs(base_inf - _mpf(analysis.delta_liminf())) < mp.mpf("1e-30")
+        assert abs(base_sup - _mpf(analysis.delta_limsup())) < mp.mpf("1e-30")
 
     _report("criterion 5 (coquet constants)", True,
             f"ratio range [{lo:.12f}, {hi:.12f}], min attained at {attained}")
@@ -183,9 +189,9 @@ def test_criterion_5_printed_decimal_match():
     # are the same closed forms at lam rounded to eight places
     assert f"{analysis.LAMBDA:.8f}" == "0.79248125"
     with mp.workdps(40):
-        exact = _plateaus(analysis.growth_exponent())
-        assert abs(exact[0] - analysis.delta_liminf()) < mp.mpf("1e-30")
-        assert abs(exact[1] - analysis.delta_limsup()) < mp.mpf("1e-30")
+        exact = _plateaus(_mpf(analysis.growth_exponent()))
+        assert abs(exact[0] - _mpf(analysis.delta_liminf())) < mp.mpf("1e-30")
+        assert abs(exact[1] - _mpf(analysis.delta_limsup())) < mp.mpf("1e-30")
         paper = _plateaus(mp.mpf("0.79248125"))
     printed = tuple(f"{float(v):.9f}" for v in paper)
     assert printed == ("0.483459079", "0.670720518"), printed

@@ -1,4 +1,5 @@
 import random
+from decimal import Decimal
 
 import pytest
 from mpmath import mp
@@ -7,20 +8,27 @@ import brute
 from newmansum import analysis, core, verify
 
 
+def _mpf(x):
+    """A public value, a Decimal or a float, as an mpf at the ambient
+    mpmath precision: a Decimal through its text, a float exactly."""
+    return mp.mpf(x if isinstance(x, float) else str(x))
+
+
 def test_growth_exponent_bracket():
     assert 0.792481250 < analysis.LAMBDA < 0.792481251
     lam = analysis.growth_exponent()
     with mp.workdps(40):
-        assert abs(mp.mpf(4) ** lam - 3) < mp.mpf("1e-35")
+        assert abs(mp.mpf(4) ** _mpf(lam) - 3) < mp.mpf("1e-35")
 
 
 def test_delta_examples():
     assert analysis.delta(1) == 1
     with mp.workdps(40):
-        assert abs(analysis.delta(2) - 1 / mp.sqrt(3)) < mp.mpf("1e-30")
+        assert abs(_mpf(analysis.delta(2)) - 1 / mp.sqrt(3)) < mp.mpf("1e-30")
         # the infimum over all N >= 1 is 1/3^lam, met at N = 3
-        assert abs(analysis.delta(3) - 3 ** (-analysis.growth_exponent())) < mp.mpf("1e-30")
-        assert abs(analysis.delta(6) - analysis.delta_liminf()) < mp.mpf("1e-30")
+        assert abs(_mpf(analysis.delta(3))
+                   - 3 ** (-_mpf(analysis.growth_exponent()))) < mp.mpf("1e-30")
+        assert abs(_mpf(analysis.delta(6)) - _mpf(analysis.delta_liminf())) < mp.mpf("1e-30")
     with pytest.raises(ValueError):
         analysis.delta(0)
 
@@ -33,9 +41,11 @@ def test_symbolic_constants():
     assert str(analysis.ratio_limsup()).startswith("1.601958420")
     with mp.workdps(40):
         # internal consistency: the delta and ratio scales differ by 3^lam
-        lam = analysis.growth_exponent()
-        assert abs(analysis.ratio_limsup() - analysis.delta_limsup() * 3 ** lam) < mp.mpf("1e-30")
-        assert abs(analysis.ratio_liminf() - analysis.delta_liminf() * 3 ** lam) < mp.mpf("1e-30")
+        lam = _mpf(analysis.growth_exponent())
+        assert abs(_mpf(analysis.ratio_limsup())
+                   - _mpf(analysis.delta_limsup()) * 3 ** lam) < mp.mpf("1e-30")
+        assert abs(_mpf(analysis.ratio_liminf())
+                   - _mpf(analysis.delta_liminf()) * 3 ** lam) < mp.mpf("1e-30")
 
 
 def test_lower_bound_examples():
@@ -73,24 +83,93 @@ def test_upper_bound_exact_on_the_limsup_family(k):
     assert analysis.upper_bound(65 * 4 ** k) == 55 * 3 ** (k - 1)
 
 
+def test_exact_round_decides_a_near_integer_by_its_enclosure(monkeypatch):
+    # N = base = 6 makes v = num/den exactly; here v = 12345 - 10^-25,
+    # which a snap to any integer within 1e-20 would round to 12345.
+    # 20 digits past the integer part leave 12345 in the enclosure, and
+    # the second evaluation, with 40, decides
+    precisions = []
+    power = analysis._power
+
+    def recorded(*args):
+        precisions.append(args[-1])
+        return power(*args)
+    monkeypatch.setattr(analysis, "_power", recorded)
+    num, den = 12345 * 10 ** 25 - 1, 10 ** 25
+    assert analysis._exact_round(6, num, den, 6, 0) == 12344
+    assert analysis._exact_round(6, num, den, 6, 1) == 12345
+    assert precisions == [25, 45] * 2
+
+
+# k with 6*4^k and 260*4^k below 2^4096; from k = 154 on, neighbours
+# N -+ 1, 2 lie within 1e-20 of the family integer
+_FAMILY_K = [*range(12), 100, *range(153, 159), 500, 1000, 2043]
+
+
+@pytest.mark.parametrize("k", _FAMILY_K)
+def test_families_and_neighbours_are_exact_to_2_4096(k):
+    # 2(N/6)^lam = 2*3^k at N = 6*4^k and (55/3)(N/65)^lam = 55*3^k at
+    # N = 260*4^k.  By Bernoulli's inequality, N -+ 1, 2 move the first by
+    # under (2/3)(3/4)^k and the second by under (11/26)(3/4)^k, both
+    # below 1, and away from the integer
+    two, top = 2 * 3 ** k, 55 * 3 ** k
+    assert [analysis.lower_bound(6 * 4 ** k + d) for d in (-2, -1, 0, 1, 2)] \
+        == [two - 1, two - 1, two, two, two]
+    assert [analysis.upper_bound(260 * 4 ** k + d) for d in (-2, -1, 0, 1, 2)] \
+        == [top, top, top, top + 1, top + 1]
+
+
+def test_values_on_an_integer_stop_at_the_precision_cap(monkeypatch):
+    # evaluations that land on an integer settle a bound only at a family
+    # point or next to one; anywhere else every guard up to the cap is
+    # tried, and then the bound is refused.  So is a delta that lands on a
+    # tie of its 12-digit rounding
+    precisions = []
+    power = analysis._power
+
+    def on_an_integer(*args):
+        precisions.append(args[-1])
+        return power(*args).to_integral_value()
+    monkeypatch.setattr(analysis, "_power", on_an_integer)
+    assert analysis.lower_bound(6 * 4 ** 5) == 2 * 3 ** 5
+    assert analysis.upper_bound(65 * 4 ** 5) == 55 * 3 ** 4
+    assert analysis.upper_bound(260 * 4 ** 5 + 1) == 55 * 3 ** 5 + 1
+    assert analysis.lower_bound(6 * 4 ** 5 - 1) == 2 * 3 ** 5 - 1
+    assert len(precisions) == 4
+    precisions.clear()
+    with pytest.raises(analysis.PrecisionCapError, match="at a 10-bit N"):
+        analysis.lower_bound(1000)
+    assert [p - precisions[0] for p in precisions] == [0, 20, 60, 140, 300, 620]
+    assert analysis._MAX_GUARD == 640
+    monkeypatch.setattr(analysis, "_power", lambda *args: Decimal("0.4834590783545"))
+    with pytest.raises(analysis.PrecisionCapError):
+        analysis._exact_text(6, 2)
+
+
 def _reference_bound(N, lower):
     """floor(2*(N/6)^lam) or ceil((55/3)*(N/65)^lam) at 200 digits past
-    the integer part (N has at least as many digits as either value),
-    snapping a value within 1e-20 of an integer to it."""
+    the integer part (N has at least as many digits as either value).
+
+    A value within 10^-150 of an integer is taken as that integer, which
+    200 digits cannot tell apart from it.  Among the N tested here only
+    the family members 6*4^k and 65*4^k come that close: their neighbours
+    N -+ 1, 2 lie over 10^-27 from an integer up to k = 200, but from
+    k = 154 on under 1e-20, so a snap at 1e-20 would misround them.
+    """
     with mp.workdps(200 + len(str(N))):
         lam = mp.ln(3) / mp.ln(4)
         if lower:
             v = 2 * (mp.mpf(N) / 6) ** lam
         else:
             v = mp.mpf(55) / 3 * (mp.mpf(N) / 65) ** lam
-        if abs(v - mp.nint(v)) < mp.mpf(10) ** -20:
+        if abs(v - mp.nint(v)) < mp.mpf(10) ** -150:
             return int(mp.nint(v))
         return int(mp.floor(v) if lower else mp.ceil(v))
 
 
 def test_guard_handles_huge_arguments():
-    # the bounds are evaluated once, at a precision that grows with N, so
-    # the family points must still snap to their integers and their
+    # the bounds are evaluated at a precision that grows with N, so the
+    # family points must still come out as their integers and their
     # neighbors must not, however large N is
     k = 100
     assert analysis.lower_bound(6 * 4 ** k) == 2 * 3 ** k
@@ -132,9 +211,9 @@ def test_block_extremes_match_brute_min_max():
 def test_whole_blocks_clear_newman_inequality():
     # bound_blocks tests only the sharp bounds; they imply Newman's
     # 1/20 < S*N^-lam < 5 on every whole block, at both of its ends
-    lam = analysis.growth_exponent()
     whole = 0
     with mp.workdps(40):
+        lam = _mpf(analysis.growth_exponent())
         for a, b, smin, smax in analysis.bound_blocks(10 ** 6):
             if b - a > 1:
                 whole += 1
@@ -196,7 +275,7 @@ def test_float_first_escalation_counts(monkeypatch):
     # zero margin and a wider one change these counts; past 10^9 every
     # bound a block end asks for is exact.  bounds_sweep's counts include
     # its 200 spot checks of the float bounds against the exact ones.
-    counts = {"lower_bound": 0, "upper_bound": 0, "delta": 0}
+    counts = {"lower_bound": 0, "upper_bound": 0, "_exact_text": 0}
     for name in counts:
         exact = getattr(analysis, name)
 
@@ -214,10 +293,10 @@ def test_float_first_escalation_counts(monkeypatch):
     assert calls(lambda: list(analysis.bound_blocks(10 ** 6))) == (0, 21)
     assert calls(lambda: verify.bounds_sweep(10 ** 6)) == (109, 127)
     assert calls(lambda: list(analysis.scan(2, 5002))) == (5, 3)
-    # the same rows' exact deltas: the float text escalates only where the
+    # the same rows' exact delta texts: the float text escalates only where the
     # per-N margin of _delta_text straddles a 12-digit rounding boundary
     # (54 with the old fixed margin of 1e-14; none with no margin)
-    assert counts["delta"] == 10
+    assert counts["_exact_text"] == 10
     assert calls(lambda: list(analysis.bound_blocks(2 ** 40))) == (1206, 1175)
 
 
@@ -229,8 +308,8 @@ def test_bounds_hold_pointwise_small():
 
 def test_coquet_ratio():
     with mp.workdps(40):
-        assert abs(analysis.coquet_ratio(2) - analysis.ratio_liminf()) < mp.mpf("1e-30")
-        assert abs(analysis.coquet_ratio(8) - analysis.ratio_liminf()) < mp.mpf("1e-30")
+        assert abs(_mpf(analysis.coquet_ratio(2)) - _mpf(analysis.ratio_liminf())) < mp.mpf("1e-30")
+        assert abs(_mpf(analysis.coquet_ratio(8)) - _mpf(analysis.ratio_liminf())) < mp.mpf("1e-30")
     with pytest.raises(ValueError):
         analysis.coquet_ratio(1)
 
@@ -333,7 +412,7 @@ def test_scan_rows_match_exact_functions(start, stop, step):
         assert (rec.N, rec.S, rec.delta_text, rec.lower, rec.upper) == row
         assert rec.in_bounds == (rec.lower <= rec.S
                                  and (rec.upper is None or rec.S <= rec.upper))
-        assert abs(rec.delta / d - 1) < analysis._ERR_BIT * rec.N.bit_length() + analysis._ERR_ROUND
+        assert abs(_mpf(rec.delta) / _mpf(d) - 1) < analysis._ERR_BIT * rec.N.bit_length() + analysis._ERR_ROUND
 
 
 def test_float_delta_lies_inside_the_derived_error_bound():
@@ -346,7 +425,7 @@ def test_float_delta_lies_inside_the_derived_error_bound():
     with mp.workdps(40):
         for N in ns:
             S = core.newman_sum_recursive(N)
-            err = abs(S / N ** analysis.LAMBDA / analysis.delta(N, S) - 1)
+            err = abs(S / N ** analysis.LAMBDA / _mpf(analysis.delta(N, S)) - 1)
             assert err < analysis._ERR_BIT * N.bit_length() + analysis._ERR_ROUND, N
 
 
@@ -399,6 +478,27 @@ def test_extremal_sequences():
 def test_format_significant():
     assert analysis.format_significant(analysis.delta(6)) == "0.483459078354"
     assert analysis.format_significant(analysis.delta(1)) == "1.0"
+
+
+def test_format_significant_prints_as_mpmath_nstr():
+    # scan's delta column was mpmath's nstr(x, 12) of a 40-digit delta, and
+    # prints alike: floats and exact deltas format as nstr formats them,
+    # and the exact text is nstr's text of mpmath's 40-digit S/N^lam
+    rng = random.Random(25)
+    floats = [0.0, 1.0, 100.0, 1e-5, 1e-4, 2.5e-5, -2.5, 123456789012.5,
+              1234567890125.0, 999999999999.5, 1e12, 2.0 ** 70]
+    floats += [rng.uniform(0.4, 0.7) for _ in range(1000)]
+    floats += [rng.random() * 10.0 ** rng.randint(-8, 14) for _ in range(1000)]
+    ns = [*range(1, 20002), *(rng.getrandbits(b) | 1 << b - 1 for b in range(31, 300))]
+    with mp.workdps(40):
+        for x in floats:
+            assert analysis.format_significant(x) == mp.nstr(mp.mpf(x), 12), x
+        lam = mp.ln(3) / mp.ln(4)
+        for N in ns:
+            S = core.newman_sum_recursive(N)
+            d = analysis.delta(N, S)
+            assert analysis.format_significant(d) == mp.nstr(_mpf(d), 12), N
+            assert analysis._exact_text(N, S) == mp.nstr(S / mp.mpf(N) ** lam, 12), N
 
 
 def test_numpy_integers_accepted():

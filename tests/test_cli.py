@@ -406,6 +406,21 @@ def test_bounds_usage(capsys):
     assert invoke(["bounds", "--max", "1"], capsys)[0] == 64
 
 
+@pytest.mark.parametrize("command", ["bounds", "scan"])
+def test_precision_cap_exits_2(command, tmp_path, capsys, monkeypatch):
+    # a cap below the first guard digits leaves every exact bound undecided
+    monkeypatch.setattr(analysis, "_MAX_GUARD", 1)
+    out_path = tmp_path / "rows.csv"
+    argv = (["bounds", "--max", "1000"] if command == "bounds"
+            else ["scan", "--from", str(10 ** 9 + 1), "--to", str(10 ** 9 + 3),
+                  "--out", str(out_path)])
+    code, out, err = invoke(argv, capsys)
+    assert code == 2
+    assert err.startswith("error: a sharp bound at a ") and err.count("\n") == 1
+    assert out == ""
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_bounds_counts_one_oracle_fault_once(capsys, faulty_oracle):
     # 9973 is a spot-check point in a block the fault makes the sweep read
     # entry by entry; its one recursion mismatch is one violation
@@ -538,6 +553,27 @@ def test_import_builds_no_byte_table():
         "with contextlib.redirect_stdout(io.StringIO()):",
         "    assert newmansum.cli.main(['eval', '19']) == 0",
         "assert core._byte_table.cache_info().currsize == 1, core._byte_table.cache_info()",
+    ])
+    proc = subprocess.run([sys.executable, "-c", code],
+                          capture_output=True, text=True, env=_package_env())
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_commands_import_no_mpmath():
+    # the exact bounds and deltas are evaluated in the standard library's
+    # decimal: no command reaches for mpmath
+    code = "\n".join([
+        "import contextlib, io, os, sys, tempfile",
+        "import newmansum.cli",
+        "out = os.path.join(tempfile.mkdtemp(), 'rows.csv')",
+        "with contextlib.redirect_stdout(io.StringIO()):",
+        "    for argv in (['eval', '500000'], ['verify', '--max', '1000'],",
+        "                 ['bounds', '--max', '1000'],",
+        "                 ['scan', '--from', '2', '--to', '300', '--out', out]):",
+        "        assert newmansum.cli.main(argv) == 0, argv",
+        "os.unlink(out)",
+        "os.rmdir(os.path.dirname(out))",
+        "assert 'mpmath' not in sys.modules",
     ])
     proc = subprocess.run([sys.executable, "-c", code],
                           capture_output=True, text=True, env=_package_env())
