@@ -7,32 +7,27 @@ The public functions of the growth exponent lam = ln3/ln4 (``delta``,
 ``decimal.Decimal`` values of 40 significant digits.  Every exact value
 is one evaluation of (a/b)*x^lam, x <= 1 rational, in the standard
 library's ``decimal``, whose ln and exp are correctly rounded; so the
-operation count bounds its error (derived above ``_ERR_ULPS``).  An exact
-bound is evaluated at _GUARD digits past its integer part and is floored
-or ceiled only when the enclosure that error bound gives holds no
-integer.  The extremal families (N = 6*4^k for the lower bound,
-N = 65*4^k with k >= 1 for the upper) sit exactly on integers, where
-naive rounding would be off by one: an enclosure holding the integer of
-such a family point N0 is settled exactly at N0 and, as the bounds grow
-with N, at the N next to it.  Elsewhere the evaluation repeats with twice
-the digits, and past _MAX_GUARD digits raises ``PrecisionCapError``.  An
-exact delta text is decided the same way, from an enclosure of delta at
-25 digits.
+operation count bounds its error (derived above ``_ERR_ULPS``).
 
-Sweeps evaluate float first, one function per bound: ``_lower`` and
-``_upper``, called by ``bound_blocks`` and ``verify.bounds_sweep`` for
-just the bounds they test; ``delta_record`` (so ``scan``) passes its one
-float N**LAMBDA per row to ``_float_first`` and reads delta from it.
+``lower_bound`` and ``upper_bound``, one evaluator per sharp bound, serve
+``bound_blocks``, ``verify.bounds_sweep`` and ``delta_record`` (so
+``scan``), which passes its row's one float N**LAMBDA.  A bound is floored
+or ceiled from an enclosure of its value that holds no integer.  The
+extremal families (N = 6*4^k for the lower bound, N = 65*4^k with k >= 1
+for the upper) sit exactly on integers: an enclosure holding the integer
+of such a family point N0 is settled exactly at N0 and, as the bounds grow
+with N, at the N next to it.  For N < 2^1023 the first enclosure is the
+float N**LAMBDA widened by the error bound derived above ``_FAST_MAX``;
+past it, or where that cannot tell, the value is evaluated at _GUARD
+digits past its integer part, then twice the digits, and past _MAX_GUARD
+digits raises ``PrecisionCapError``.  A row's 12-digit delta text comes
+from S/N**LAMBDA, widened alike, or else from decimal enclosures of delta.
+
 ``bound_blocks`` walks the 4-adic blocks of the recursion transducer: a
 block's least and greatest S come from a min/max dynamic program over the
 transducer's states, and a block whose extremes clear the lower bound at
 its last N and the upper at its first clears both, and Newman's looser
-inequality, at every N in it.  For N <= 10^9 a bound is read from the
-float N**LAMBDA and escalates to the exact function only when that float
-lies within 1e-6 of an integer, and delta's 12-digit text escalates to
-the exact text only when S/N**LAMBDA, widened by an error bound that
-grows with the bit length of N, could round differently from the exact
-value.  Past 10^9 every value is exact.
+inequality, at every N in it.
 
 The sharp constants are never hard-coded as decimals; they are evaluated
 on demand from their closed forms:
@@ -101,29 +96,36 @@ _ERR_ULPS = 110
 #: Float approximation of the growth exponent ln3/ln4.
 LAMBDA = math.log(3) / math.log(4)
 
-# The float fast path of _lower, _upper and delta_record.  For
-# 1 <= N <= _FAST_MAX, N < 2^bits with bits = N.bit_length(), the float
-# p = N**LAMBDA differs from N^lam relatively by at most
-#   - the exponent error |LAMBDA - lam| * ln N: LAMBDA is 5.82e-17 above
-#     lam and ln N < bits * ln 2, so it is under 4.03e-17 * bits, which
-#     _ERR_BIT * bits covers, with no log call, and
-#   - pow's rounding, under one ulp: 2^-52 = 2.2e-16.
-# Bounds: the constant's product adds under 4e-16 more, so each bound's
-# value, below 10^7 there, is within 2e-8 of the exact one, far inside
-# _BOUND_MARGIN.  Delta: d = S/p adds the quotient's rounding, 2^-53 =
-# 1.1e-16, and _delta_text's ends d*(1 -+ e) add the rounding of 1 -+ e
-# and of the product, under 1.7e-16 relative together.  _ERR_ROUND sums
-# these three rounding terms; so the two ends enclose delta whenever
-# e >= _ERR_BIT * bits + _ERR_ROUND, and _delta_text takes e as
-# _ERR_SAFETY times that.  The worst relative error of d measured over
-# N <= 5001 and 3000 random N in [10^8, 10^9] was 7.4e-17 * bits.
+# The float stage of the bounds and of delta_record, for N < _FLOAT_LIMIT
+# = 2^1023, bits = N.bit_length().  p = N**LAMBDA differs from N^lam
+# relatively by: the exponent error |LAMBDA - lam| * ln N, LAMBDA being
+# 5.82e-17 above lam and ln N < bits * ln 2, so under 4.03e-17 * bits,
+# which _ERR_BIT * bits covers with no log call; pow's rounding, under one
+# ulp, 2^-52 = 2.2e-16; and float(N)'s, none below 2^53 and past it 2^-53
+# scaled by lam, 8.8e-17.  A bound's v = c*p adds c's error (_C_LO and
+# _C_HI lie 1.5e-16 and 2.4e-16 from 2/6^lam and (55/3)/65^lam) and the
+# product's rounding, 1.1e-16, and its ends v*(1 -+ w) the rounding of
+# 1 -+ w and of the products, 2.2e-16: _ERR_BOUND covers these 8.9e-16.
+# w is _ERR_SAFETY times the error at 1023 bits, one constant for every N,
+# so that the common case costs one comparison.  Delta's d = S/p adds the
+# quotient's rounding, 1.1e-16: _ERR_ROUND covers the 4.2e-16 in all, and
+# the excess of _delta_text's e = _ERR_SAFETY * (_ERR_BIT * bits +
+# _ERR_ROUND) covers the rounding of its ends d*(1 -+ e).  Over 20 random N
+# of each bit length below 1024, the worst errors measured were 0.96 of
+# the bound for v and 0.98 for d.  _FAST_MAX only sets the type of
+# DeltaRecord.delta: d up to it, a 40-digit Decimal past it.
 _FAST_MAX = 10 ** 9
-_BOUND_MARGIN = 1e-6
+_FLOAT_LIMIT = 1 << 1023
 _ERR_BIT = 4.1e-17
 _ERR_ROUND = 5.1e-16
+_ERR_BOUND = 1.2e-15
 _ERR_SAFETY = 2
+_WIDEN = _ERR_SAFETY * (_ERR_BIT * 1023 + _ERR_BOUND)    # w = 8.6e-14
+_BELOW, _ABOVE = 1 - _WIDEN, 1 + _WIDEN
 _C_LO = 2 / 6 ** LAMBDA           # lower bound argument = _C_LO * N^lam
 _C_HI = 55 / 3 / 65 ** LAMBDA     # upper bound argument = _C_HI * N^lam
+_LOWER = (2, 1, 6, 0)             # floor((2/1)*(N/6)^lam): (num, den, base, up)
+_UPPER = (55, 3, 65, 1)           # ceil((55/3)*(N/65)^lam)
 
 
 class PrecisionCapError(ArithmeticError):
@@ -197,37 +199,58 @@ def ratio_limsup():
     return _power(55, 3, 3, 65, _DPS)
 
 
+def _settle(N: int, lo, hi, num: int, den: int, base: int, up: int):
+    """floor (up = 0) or ceil (up = 1) of v = (num/den)*(N/base)^lam from
+    an enclosure lo <= v <= hi, hi > 0, or None where it cannot tell.
+
+    An enclosure that holds one integer k is settled where one of the two
+    family points n0 = base*4^i around N, base*4^j <= N < base*4^(j+1), has
+    the value num*3^i/den = k: v grows with N, so it lies below k for
+    N < n0, is k at n0, and lies above k for N > n0.
+    """
+    k = math.floor(hi)
+    if k < lo:                      # no integer in [lo, hi]
+        return k + up
+    if k - 1 < lo:                  # k alone
+        j = max((N // base).bit_length() - 1, 0) // 2   # base*4^j <= N, or j = 0
+        for i in (j, j + 1):
+            if num * 3 ** i == k * den:
+                n0 = base << 2 * i
+                return k + (N > n0) if up else k - (N < n0)
+    return None
+
+
 def _exact_round(N: int, num: int, den: int, base: int, up: int) -> int:
-    """floor (up = 0) or ceil (up = 1) of v = (num/den)*(N/base)^lam for a
-    base in [4, 65].
-
-    With N = 4^e*f, 1 <= f < 4, v = (num*3^e/den)*(f/base)^lam, and
-    f/base lies in [1/65, 1].  So v has at most as many integer digits as
-    num*3^e // den; the evaluation carries _GUARD digits more, then twice
-    as many, up to _MAX_GUARD, until v's enclosure holds no integer.
-
-    An enclosure that holds one integer k is settled at once where one of
-    the two family points n0 = base*4^i around N, base*4^j <= N <
-    base*4^(j+1), has the value num*3^i/den = k.  v grows with N, so it
-    lies below k for N < n0, is k at n0, and lies above k for N > n0.
+    """``_settle``'s answer for v = (num/den)*(N/base)^lam, base in [4, 65],
+    from decimal enclosures alone: with N = 4^e*f, 1 <= f < 4,
+    v = (num*3^e/den)*(f/base)^lam, f/base in [1/65, 1], so v has at most as
+    many integer digits as num*3^e // den; the evaluation carries _GUARD
+    digits more, then twice as many, up to _MAX_GUARD, until it can tell.
     """
     e = (N.bit_length() - 1) // 2
     a, xd = num * 3 ** e, base << 2 * e
     digits = (a // den).bit_length() * 30103 // 100000 + 1   # log10(2) < 0.30103
-    j = max((N // base).bit_length() - 1, 0) // 2       # base*4^j <= N, or j = 0
     for guard in _guards(_GUARD):
         prec = digits + guard
         lo, hi = _enclose(_power(a, den, N, xd, prec), prec)
-        k = int(hi)                 # the greatest integer <= hi, as hi > 0
-        if k < lo:                  # no integer in [lo, hi]
-            return k + up
-        if k - 1 < lo:              # k alone
-            for i in (j, j + 1):
-                if num * 3 ** i == k * den:
-                    n0 = base << 2 * i
-                    return k + (N > n0) if up else k - (N < n0)
+        if (b := _settle(N, lo, hi, num, den, base, up)) is not None:
+            return b
     raise PrecisionCapError(f"a sharp bound at a {N.bit_length()}-bit N is not "
                             f"decided {_MAX_GUARD} digits past its integer part")
+
+
+def _bound(N: int, p, c: float, spec) -> int:
+    """``_exact_round(N, *spec)``, c*N^lam being its v, read first from the
+    float c*p, p = N**LAMBDA, or None for N >= _FLOAT_LIMIT: widened by w
+    relative, it encloses v."""
+    if p is not None:
+        v = c * p
+        k = math.floor(v * _ABOVE)
+        if k < v * _BELOW:          # no integer in the enclosure: _settle's first case
+            return k + spec[3]
+        if (b := _settle(N, v * _BELOW, v * _ABOVE, *spec)) is not None:
+            return b
+    return _exact_round(N, *spec)
 
 
 def delta(N: int, S: int | None = None):
@@ -264,15 +287,17 @@ def _exact_text(N: int, S: int) -> str:
 
 
 def lower_bound(N: int) -> int:
-    """floor(2*(N/6)^lam), a sharp lower bound for S_{3,0}(N), N >= 1."""
+    """floor(2*(N/6)^lam), a sharp lower bound for S_{3,0}(N), N >= 1: exact,
+    read from the float N**LAMBDA first and from ``decimal`` where it cannot tell."""
     N = _at_least(N, 1, "lower_bound needs N")
-    return _exact_round(N, 2, 1, 6, 0)
+    return _bound(N, N ** LAMBDA if N < _FLOAT_LIMIT else None, _C_LO, _LOWER)
 
 
 def upper_bound(N: int) -> int:
-    """ceil((55/3)*(N/65)^lam), a sharp upper bound for S_{3,0}(N), N >= 2."""
+    """ceil((55/3)*(N/65)^lam), a sharp upper bound for S_{3,0}(N), N >= 2,
+    evaluated as ``lower_bound`` is."""
     N = _at_least(N, 2, "upper_bound needs N")
-    return _exact_round(N, 55, 3, 65, 1)
+    return _bound(N, N ** LAMBDA if N < _FLOAT_LIMIT else None, _C_HI, _UPPER)
 
 
 def coquet_ratio(x: int):
@@ -315,26 +340,6 @@ def eta_half(k: int) -> int:
     return (3 * newman_sum_recursive(3 * k)
             - newman_sum_recursive(3 * (4 * k + 2))
             + 3 * thue_morse_sign(3 * k))
-
-
-def _float_first(N: int, v: float, rounder, exact) -> int:
-    """rounder(v), v the float of a bound's argument at N <= _FAST_MAX,
-    where v lies over _BOUND_MARGIN from an integer; else ``exact(N)``."""
-    if _BOUND_MARGIN < v % 1 < 1 - _BOUND_MARGIN:
-        return rounder(v)
-    return exact(N)
-
-
-def _lower(N: int) -> int:
-    """``lower_bound(N)`` for N >= 1, from the float N**LAMBDA where it can tell."""
-    return (_float_first(N, _C_LO * N ** LAMBDA, math.floor, lower_bound)
-            if N <= _FAST_MAX else lower_bound(N))
-
-
-def _upper(N: int) -> int:
-    """``upper_bound(N)`` for N >= 2, from the float N**LAMBDA where it can tell."""
-    return (_float_first(N, _C_HI * N ** LAMBDA, math.ceil, upper_bound)
-            if N <= _FAST_MAX else upper_bound(N))
 
 
 def _extremes(steps, levels: int):
@@ -394,7 +399,7 @@ def bound_blocks(max_n: int, _top=math.inf):
         if j <= _top and a >= 2 and b <= max_n + 1:
             smin = 3 ** j * S + lo[j][s]
             smax = 3 ** j * S + hi[j][s]
-            if smin > _lower(b - 1) and smax < _upper(a):
+            if smin > lower_bound(b - 1) and smax < upper_bound(a):
                 yield a, b, smin, smax
                 continue
         width = 1 << 2 * (j - 1)
@@ -406,7 +411,7 @@ def bound_blocks(max_n: int, _top=math.inf):
 
 def _delta_text(d: float, bits: int) -> str | None:
     """``format_significant(delta)`` from d = S/N**LAMBDA at an N of
-    ``bits`` bits, N <= _FAST_MAX, or None where d cannot tell.
+    ``bits`` bits, N < _FLOAT_LIMIT, or None where d cannot tell.
 
     d is within _ERR_BIT * bits + _ERR_ROUND relative of delta, so delta
     lies between d*(1 - e) and d*(1 + e) for e _ERR_SAFETY times that.
@@ -445,18 +450,13 @@ def delta_record(N: int) -> DeltaRecord:
     """Assemble the DeltaRecord for one N >= 1."""
     N = _at_least(N, 1, "delta_record needs N")
     S = newman_sum_recursive(N)
-    if N > _FAST_MAX:
-        lo, hi = lower_bound(N), upper_bound(N)
-        d = delta(N, S)
-        text = _exact_text(N, S)
-    else:
-        p = N ** LAMBDA
-        lo = _float_first(N, _C_LO * p, math.floor, lower_bound)
-        hi = _float_first(N, _C_HI * p, math.ceil, upper_bound) if N >= 2 else None
-        d = S / p
-        text = _delta_text(d, N.bit_length()) or _exact_text(N, S)
+    p = N ** LAMBDA if N < _FLOAT_LIMIT else None
+    lo = _bound(N, p, _C_LO, _LOWER)
+    hi = _bound(N, p, _C_HI, _UPPER) if N >= 2 else None
+    text = _delta_text(S / p, N.bit_length()) if p else None
+    d = S / p if N <= _FAST_MAX else delta(N, S)
     ok = lo <= S and (hi is None or S <= hi)
-    return DeltaRecord(N, S, d, text, lo, hi, ok)
+    return DeltaRecord(N, S, d, text or _exact_text(N, S), lo, hi, ok)
 
 
 def extremal_sequences(n_max: int) -> list:

@@ -134,7 +134,7 @@ class BoundsReport:
         return not self.bound_violations and not self.newman_violations
 
 
-_SPOT_STEP = 9973   # every _SPOT_STEP-th N checks the float bounds against the exact
+_SPOT_STEP = 9973   # every _SPOT_STEP-th N checks the bounds against their decimal path
 
 
 def bounds_sweep(max_n: int) -> BoundsReport:
@@ -144,8 +144,8 @@ def bounds_sweep(max_n: int) -> BoundsReport:
     ``analysis.bound_blocks`` has the oracle's extremes checked against the
     recursion's.  Every entry of a single-N or disagreeing block, and every
     multiple of _SPOT_STEP in a whole one, is read and compared with the
-    recursion once; at a multiple of _SPOT_STEP the float bounds are
-    compared with the exact ones too.
+    recursion once; at a multiple of _SPOT_STEP the bounds are compared
+    with their decimal-only evaluation too.
 
     The prefix is read in one ascending pass, faults included, and no block
     read is wider than a chunk: blocks are capped at 4^top entries, the
@@ -172,12 +172,12 @@ def bounds_sweep(max_n: int) -> BoundsReport:
         for N, S in entries:
             if core.newman_sum_recursive(N) != S:
                 rep.bound_violations.append((N, S, "recursion-mismatch", None))
-            lo = analysis._lower(N)
-            hi = analysis._upper(N) if N >= 2 else None
+            lo = analysis.lower_bound(N)
+            hi = analysis.upper_bound(N) if N >= 2 else None
             if N % _SPOT_STEP == 0:
                 rep.checks += 2
-                if (analysis.lower_bound(N) != lo
-                        or (hi is not None and analysis.upper_bound(N) != hi)):
+                if (analysis._exact_round(N, *analysis._LOWER) != lo or (hi is not None
+                        and analysis._exact_round(N, *analysis._UPPER) != hi)):
                     rep.bound_violations.append((N, S, "fast-path-mismatch", None))
             if whole:
                 continue

@@ -101,6 +101,12 @@ def test_exact_round_decides_a_near_integer_by_its_enclosure(monkeypatch):
     assert precisions == [25, 45] * 2
 
 
+def _decimal_bound(N, lower):
+    """The lower or upper bound at N from the decimal path alone, which
+    bounds_sweep's spot checks compare the float-first bounds with."""
+    return analysis._exact_round(N, *(analysis._LOWER if lower else analysis._UPPER))
+
+
 # k with 6*4^k and 260*4^k below 2^4096; from k = 154 on, neighbours
 # N -+ 1, 2 lie within 1e-20 of the family integer
 _FAMILY_K = [*range(12), 100, *range(153, 159), 500, 1000, 2043]
@@ -131,14 +137,14 @@ def test_values_on_an_integer_stop_at_the_precision_cap(monkeypatch):
         precisions.append(args[-1])
         return power(*args).to_integral_value()
     monkeypatch.setattr(analysis, "_power", on_an_integer)
-    assert analysis.lower_bound(6 * 4 ** 5) == 2 * 3 ** 5
-    assert analysis.upper_bound(65 * 4 ** 5) == 55 * 3 ** 4
-    assert analysis.upper_bound(260 * 4 ** 5 + 1) == 55 * 3 ** 5 + 1
-    assert analysis.lower_bound(6 * 4 ** 5 - 1) == 2 * 3 ** 5 - 1
+    assert _decimal_bound(6 * 4 ** 5, True) == 2 * 3 ** 5
+    assert _decimal_bound(65 * 4 ** 5, False) == 55 * 3 ** 4
+    assert _decimal_bound(260 * 4 ** 5 + 1, False) == 55 * 3 ** 5 + 1
+    assert _decimal_bound(6 * 4 ** 5 - 1, True) == 2 * 3 ** 5 - 1
     assert len(precisions) == 4
     precisions.clear()
     with pytest.raises(analysis.PrecisionCapError, match="at a 10-bit N"):
-        analysis.lower_bound(1000)
+        _decimal_bound(1000, True)
     assert [p - precisions[0] for p in precisions] == [0, 20, 60, 140, 300, 620]
     assert analysis._MAX_GUARD == 640
     monkeypatch.setattr(analysis, "_power", lambda *args: Decimal("0.4834590783545"))
@@ -254,50 +260,59 @@ def test_bound_blocks_certify_the_bounds_to_2_64():
 
 
 def test_bound_blocks_ask_each_block_end_one_bound(monkeypatch):
-    # Past 10^9 every bound is exact.  A tested block [a, b) has j >= 1, so
-    # its lower bound is asked at b-1 = 3 (mod 4) and its upper at
-    # a = 0 (mod 4); an exact call at any other residue is wasted work
-    calls = {"lower_bound": [], "upper_bound": []}
-    for name, args in calls.items():
-        exact = getattr(analysis, name)
-        monkeypatch.setattr(analysis, name,
-                            lambda N, exact=exact, args=args: args.append(N) or exact(N))
-    for _ in analysis.bound_blocks(2 ** 40):
+    # A tested block [a, b) has j >= 1, so its lower bound is asked at
+    # b-1 = 3 (mod 4) and its upper at a = 0 (mod 4); a call at any other
+    # residue is wasted work.  Past about 2^55 a bound's float enclosure,
+    # 8.6e-14 of its value each side, is over one unit wide, so the decimal
+    # path settles many of these calls near 2^64
+    calls = {"lower_bound": [], "upper_bound": [], 0: [], 1: []}
+    for name in ("lower_bound", "upper_bound"):
+        bound = getattr(analysis, name)
+        monkeypatch.setattr(analysis, name, lambda N, bound=bound, args=calls[name]:
+                            args.append(N) or bound(N))
+    exact_round = analysis._exact_round
+    monkeypatch.setattr(analysis, "_exact_round",
+                        lambda N, *spec: calls[spec[-1]].append(N) or exact_round(N, *spec))
+    for _ in analysis.bound_blocks(2 ** 64):
         pass
-    assert calls["lower_bound"] and calls["upper_bound"]
-    assert {N % 4 for N in calls["lower_bound"]} == {3}
-    assert {N % 4 for N in calls["upper_bound"]} == {0}
+    for name, up, residue in (("lower_bound", 0, 3), ("upper_bound", 1, 0)):
+        assert {N % 4 for N in calls[name]} == {N % 4 for N in calls[up]} == {residue}
+    assert (len(calls[0]), len(calls[1])) == (1919, 1849)
 
 
 def test_float_first_escalation_counts(monkeypatch):
-    # (lower, upper) exact calls per run.  Up to 10^9 a bound is exact only
-    # where the float lies within _BOUND_MARGIN of an integer, so both a
-    # zero margin and a wider one change these counts; past 10^9 every
-    # bound a block end asks for is exact.  bounds_sweep's counts include
-    # its 200 spot checks of the float bounds against the exact ones.
-    counts = {"lower_bound": 0, "upper_bound": 0, "_exact_text": 0}
-    for name in counts:
-        exact = getattr(analysis, name)
+    # (lower, upper) calls of the decimal path per run.  Below 2^1023 a
+    # bound goes there only where its float enclosure holds an integer
+    # that is not a family value, or more than one integer, so a wider
+    # enclosure raises these counts.  bounds_sweep's are its 200 spot
+    # checks of the bounds against the decimal path.
+    counts = {0: 0, 1: 0, "_exact_text": 0}
+    exact_round, exact_text = analysis._exact_round, analysis._exact_text
 
-        def counted(*args, name=name, exact=exact):
-            counts[name] += 1
-            return exact(*args)
-        monkeypatch.setattr(analysis, name, counted)
+    def counted_round(N, *spec):
+        counts[spec[-1]] += 1
+        return exact_round(N, *spec)
+
+    def counted_text(*args):
+        counts["_exact_text"] += 1
+        return exact_text(*args)
+    monkeypatch.setattr(analysis, "_exact_round", counted_round)
+    monkeypatch.setattr(analysis, "_exact_text", counted_text)
 
     def calls(run):
         for name in counts:
             counts[name] = 0
         run()
-        return counts["lower_bound"], counts["upper_bound"]
+        return counts[0], counts[1]
 
-    assert calls(lambda: list(analysis.bound_blocks(10 ** 6))) == (0, 21)
-    assert calls(lambda: verify.bounds_sweep(10 ** 6)) == (109, 127)
-    assert calls(lambda: list(analysis.scan(2, 5002))) == (5, 3)
+    assert calls(lambda: list(analysis.bound_blocks(10 ** 6))) == (0, 0)
+    assert calls(lambda: verify.bounds_sweep(10 ** 6)) == (100, 100)
+    assert calls(lambda: list(analysis.scan(2, 5002))) == (0, 0)
     # the same rows' exact delta texts: the float text escalates only where the
     # per-N margin of _delta_text straddles a 12-digit rounding boundary
     # (54 with the old fixed margin of 1e-14; none with no margin)
     assert counts["_exact_text"] == 10
-    assert calls(lambda: list(analysis.bound_blocks(2 ** 40))) == (1206, 1175)
+    assert calls(lambda: list(analysis.bound_blocks(2 ** 40))) == (0, 0)
 
 
 def test_bounds_hold_pointwise_small():
@@ -386,18 +401,19 @@ def test_delta_record_and_scan():
 
 
 def _exact_row(N):
-    """A scan row from the exact functions alone: the reference for the
+    """A scan row from the decimal path alone: the reference for the
     float evaluator behind delta_record."""
     S = core.newman_sum_recursive(N)
     d = analysis.delta(N, S)
     return d, (N, S, analysis.format_significant(d),
-               analysis.lower_bound(N), analysis.upper_bound(N) if N >= 2 else None)
+               _decimal_bound(N, True), _decimal_bound(N, False) if N >= 2 else None)
 
 
 @pytest.mark.parametrize("start, stop, step", [
     (1, 5003, 1),
     (1, 20003, 7),
-    (10 ** 9 - 3, 10 ** 9 + 4, 1),     # across the float path's limit
+    (10 ** 9 - 3, 10 ** 9 + 4, 1),     # across the float delta's limit
+    (2 ** 1023 - 3, 2 ** 1023 + 4, 1),   # across the float stage's limit
     # where the float path's error bound is widest: 500 seeded random N
     pytest.param(10 ** 8, 10 ** 9, None, id="500-random-N-in-1e8-1e9"),
 ])
@@ -421,12 +437,46 @@ def test_float_delta_lies_inside_the_derived_error_bound():
     # derived above analysis._FAST_MAX), at every bit length it serves
     rng = random.Random(2023)
     ns = [*range(1, 5003), *range(10 ** 9 - 1000, 10 ** 9 + 1)]
-    ns += [rng.randrange(1 << b - 1, 1 << b) for b in range(2, 31) for _ in range(20)]
+    ns += [rng.randrange(1 << b - 1, 1 << b) for b in range(2, 1024) for _ in range(20)]
     with mp.workdps(40):
         for N in ns:
             S = core.newman_sum_recursive(N)
             err = abs(S / N ** analysis.LAMBDA / _mpf(analysis.delta(N, S)) - 1)
             assert err < analysis._ERR_BIT * N.bit_length() + analysis._ERR_ROUND, N
+
+
+def test_float_bounds_lie_inside_the_derived_error_bound():
+    # the float stage's premise: v = c*N**LAMBDA is within
+    # _ERR_BIT * bits + _ERR_BOUND relative of the bound's value (derived
+    # above analysis._FAST_MAX), and the widened ends v*_BELOW and v*_ABOVE
+    # enclose that value, for 20 random N of each bit length below 1024
+    # and each 2^bits - 1
+    rng = random.Random(1023)
+    ns = [N for b in range(2, 1024)
+          for N in [(1 << b) - 1, *(rng.randrange(1 << b - 1, 1 << b) for _ in range(20))]]
+    with mp.workdps(60):
+        lam = mp.ln(3) / mp.ln(4)
+        for c, C in ((analysis._C_LO, 2 / mp.mpf(6) ** lam),
+                     (analysis._C_HI, mp.mpf(55) / 3 / mp.mpf(65) ** lam)):
+            assert abs(c / C - 1) < 2.5e-16
+            for N in ns:
+                v, V = c * N ** analysis.LAMBDA, C * mp.mpf(N) ** lam
+                err = abs(v / V - 1)
+                assert err < analysis._ERR_BIT * N.bit_length() + analysis._ERR_BOUND, N
+                assert v * analysis._BELOW <= V <= v * analysis._ABOVE, N
+
+
+def test_float_first_bounds_equal_the_decimal_path():
+    # lower_bound and upper_bound read the float first; the decimal path
+    # alone must give the same at small N, at a random N of every bit
+    # length to 1030, and across 2^1023, where the float stage ends
+    rng = random.Random(1030)
+    ns = [*range(1, 5003), *(rng.randrange(1 << b - 1, 1 << b) for b in range(2, 1031)),
+          *range(2 ** 1023 - 3, 2 ** 1023 + 4)]
+    for N in ns:
+        assert analysis.lower_bound(N) == _decimal_bound(N, True), N
+        if N >= 2:
+            assert analysis.upper_bound(N) == _decimal_bound(N, False), N
 
 
 def test_delta_text_margin_is_the_safety_factor_times_the_bound():
@@ -445,19 +495,22 @@ def test_delta_text_margin_is_the_safety_factor_times_the_bound():
 def test_extremal_families_escalate_to_exact_bounds(monkeypatch):
     # 2(N/6)^lam = 2*3^k at N = 6*4^k and (55/3)(N/65)^lam = 55*3^k at
     # N = 260*4^k are integers, so a float floor or ceil there could be off
-    # by one; the evaluator must hand both to the exact functions.
+    # by one; the evaluator must hand both to the family rule, which
+    # settles them from the float enclosure with no decimal evaluation.
     calls = []
-    for name in ("lower_bound", "upper_bound"):
-        exact = getattr(analysis, name)
-        monkeypatch.setattr(analysis, name,
-                            lambda N, exact=exact, name=name: calls.append((name, N)) or exact(N))
+    settle = analysis._settle
+    monkeypatch.setattr(analysis, "_settle",
+                        lambda N, *args: calls.append((args[-1], N)) or settle(N, *args))
+    exact_round = analysis._exact_round
+    monkeypatch.setattr(analysis, "_exact_round",
+                        lambda *args: calls.append("decimal") or exact_round(*args))
     for k in range(16):
-        for N, name in ((6 * 4 ** k, "lower_bound"), (260 * 4 ** k, "upper_bound")):
+        for N, up in ((6 * 4 ** k, 0), (260 * 4 ** k, 1)):
             calls.clear()
             rec = analysis.delta_record(N)
-            assert (name, N) in calls
+            assert (up, N) in calls and "decimal" not in calls, calls
             assert (rec.N, rec.S, rec.delta_text, rec.lower, rec.upper) == _exact_row(N)[1]
-            assert rec.S == (rec.lower if name == "lower_bound" else rec.upper)
+            assert rec.S == (rec.upper if up else rec.lower)
 
 
 def test_extremal_sequences():

@@ -408,11 +408,13 @@ def test_bounds_usage(capsys):
 
 @pytest.mark.parametrize("command", ["bounds", "scan"])
 def test_precision_cap_exits_2(command, tmp_path, capsys, monkeypatch):
-    # a cap below the first guard digits leaves every exact bound undecided
+    # a cap below the first guard digits leaves every decimal evaluation of
+    # a bound undecided: bounds' spot check at N = 9973, and scan's rows
+    # from 2^1023 on, past the float stage
     monkeypatch.setattr(analysis, "_MAX_GUARD", 1)
     out_path = tmp_path / "rows.csv"
-    argv = (["bounds", "--max", "1000"] if command == "bounds"
-            else ["scan", "--from", str(10 ** 9 + 1), "--to", str(10 ** 9 + 3),
+    argv = (["bounds", "--max", "10000"] if command == "bounds"
+            else ["scan", "--from", str(2 ** 1023), "--to", str(2 ** 1023 + 2),
                   "--out", str(out_path)])
     code, out, err = invoke(argv, capsys)
     assert code == 2
