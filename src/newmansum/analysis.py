@@ -17,11 +17,11 @@ extremal families (N = 6*4^k for the lower bound, N = 65*4^k with k >= 1
 for the upper) sit exactly on integers: an enclosure holding the integer
 of such a family point N0 is settled exactly at N0 and, as the bounds grow
 with N, at the N next to it.  For N < 2^1023 the first enclosure is the
-float N**LAMBDA widened by the error bound derived above ``_FAST_MAX``;
+float N**LAMBDA widened by the error bound derived above ``_FLOAT_LIMIT``;
 past it, or where that cannot tell, the value is evaluated at _GUARD
 digits past its integer part, then twice the digits, and past _MAX_GUARD
-digits raises ``PrecisionCapError``.  A row's 12-digit delta text comes
-from S/N**LAMBDA, widened alike, or else from decimal enclosures of delta.
+digits raises ``PrecisionCapError``.  A row's delta text comes from its
+float S/N**LAMBDA, widened alike, or else from that ladder past 12 digits.
 
 ``bound_blocks`` walks the 4-adic blocks of the recursion transducer: a
 block's least and greatest S come from a min/max dynamic program over the
@@ -76,8 +76,7 @@ __all__ = [
 ]
 
 _DPS = 40          # significant digits of the public Decimal values
-_GUARD = 20        # digits past an exact bound's integer part, at first
-_TEXT_GUARD = 13   # digits past delta's 12 printed ones, at first
+_GUARD = 20        # digits past a value's integer or printed part, at first
 _MAX_GUARD = 640   # the most digits past them that are ever tried
 
 # _power evaluates v = (a/b)*x^lam, x = xn/xd in [1/65, 1], at p digits in
@@ -112,9 +111,8 @@ LAMBDA = math.log(3) / math.log(4)
 # the excess of _delta_text's e = _ERR_SAFETY * (_ERR_BIT * bits +
 # _ERR_ROUND) covers the rounding of its ends d*(1 -+ e).  Over 20 random N
 # of each bit length below 1024, the worst errors measured were 0.96 of
-# the bound for v and 0.98 for d.  _FAST_MAX only sets the type of
-# DeltaRecord.delta: d up to it, a 40-digit Decimal past it.
-_FAST_MAX = 10 ** 9
+# the bound for v and 0.98 for d.  Past _FLOAT_LIMIT float(N) overflows,
+# and delta_record's d is the float nearest the 40-digit delta.
 _FLOAT_LIMIT = 1 << 1023
 _ERR_BIT = 4.1e-17
 _ERR_ROUND = 5.1e-16
@@ -260,8 +258,7 @@ def delta(N: int, S: int | None = None):
     the divide-by-four recursion.
     """
     N = _at_least(N, 1, "delta needs N")
-    if S is None:
-        S = newman_sum_recursive(N)
+    S = newman_sum_recursive(N) if S is None else index(S)
     return _delta_at(N, S, _DPS)
 
 
@@ -273,10 +270,10 @@ def _delta_at(N: int, S: int, prec: int) -> Decimal:
 
 def _exact_text(N: int, S: int) -> str:
     """``format_significant`` of S/N^lam, S = S_{3,0}(N), from enclosures
-    of it at _TEXT_GUARD digits past the 12 printed ones, then twice as
-    many, up to _MAX_GUARD, until both ends print alike.  The printing
-    rounds monotonically, so then S/N^lam prints so too."""
-    for guard in _guards(_TEXT_GUARD):
+    of it on ``_exact_round``'s ladder of guard digits past the 12 printed
+    ones, until both ends print alike.  The printing rounds monotonically,
+    so then S/N^lam prints so too."""
+    for guard in _guards(_GUARD):
         prec = 12 + guard
         lo, hi = _enclose(_delta_at(N, S, prec), prec)
         text = format_significant(lo)
@@ -433,13 +430,13 @@ class DeltaRecord:
     12 significant digits, the two sharp bounds (upper is None for N < 2
     where it is not defined), and whether S sits inside them.
 
-    delta is S/N**LAMBDA, a float within 2e-15 relative (under
-    _ERR_BIT * bits + _ERR_ROUND at N of ``bits`` bits), for N <= 10^9 and
-    a 40-digit Decimal past that; delta_text is exact at every N."""
+    delta is a float: S/N**LAMBDA below 2^1023, within _ERR_BIT * bits +
+    _ERR_ROUND relative (4.2e-14 at 1023 bits), else the float nearest the
+    40-digit ``delta``; delta_text is exact at every N."""
 
     N: int
     S: int
-    delta: object  # float or Decimal
+    delta: float
     delta_text: str
     lower: int
     upper: int | None
@@ -453,8 +450,8 @@ def delta_record(N: int) -> DeltaRecord:
     p = N ** LAMBDA if N < _FLOAT_LIMIT else None
     lo = _bound(N, p, _C_LO, _LOWER)
     hi = _bound(N, p, _C_HI, _UPPER) if N >= 2 else None
-    text = _delta_text(S / p, N.bit_length()) if p else None
-    d = S / p if N <= _FAST_MAX else delta(N, S)
+    d = S / p if p else float(delta(N, S))
+    text = _delta_text(d, N.bit_length()) if p else None
     ok = lo <= S and (hi is None or S <= hi)
     return DeltaRecord(N, S, d, text or _exact_text(N, S), lo, hi, ok)
 

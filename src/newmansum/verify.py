@@ -58,8 +58,7 @@ def _entries(modulus, residue, limit):
 def run_core_checks(max_n: int) -> CheckReport:
     """Run the core invariant suite for all arguments up to max_n, reading
     the oracle in one ascending pass per identity."""
-    if max_n < 0:
-        raise ValueError("max_n must be >= 0")
+    max_n = core._at_least(max_n, 0, "run_core_checks needs max_n")
     rep = CheckReport()
     fail = rep.failures.append   # the two hottest loops count their checks once
 
@@ -152,8 +151,7 @@ def bounds_sweep(max_n: int) -> BoundsReport:
     largest power of 4 dividing ``oracle._CHUNK``, and a block starts at a
     multiple of its width, so it lies inside one chunk.
     """
-    if max_n < 2:
-        raise ValueError("bounds_sweep needs max_n >= 2")
+    max_n = core._at_least(max_n, 2, "bounds_sweep needs max_n")
     chunks = oracle._prefix_chunks(3, 0, max_n)     # checks the cap before any work
     top = ((oracle._CHUNK & -oracle._CHUNK).bit_length() - 1) // 2
     start, chunk = 0, ()

@@ -1,4 +1,5 @@
 import random
+import sys
 from decimal import Decimal
 
 import pytest
@@ -147,9 +148,16 @@ def test_values_on_an_integer_stop_at_the_precision_cap(monkeypatch):
         _decimal_bound(1000, True)
     assert [p - precisions[0] for p in precisions] == [0, 20, 60, 140, 300, 620]
     assert analysis._MAX_GUARD == 640
-    monkeypatch.setattr(analysis, "_power", lambda *args: Decimal("0.4834590783545"))
-    with pytest.raises(analysis.PrecisionCapError):
+    precisions.clear()
+
+    def on_a_tie(*args):
+        precisions.append(args[-1])
+        return Decimal("0.4834590783545")
+    monkeypatch.setattr(analysis, "_power", on_a_tie)
+    with pytest.raises(analysis.PrecisionCapError, match="640 digits past its 12th"):
         analysis._exact_text(6, 2)
+    # the text walks the bounds' ladder: 12 + _GUARD * 2^i, to 12 + _MAX_GUARD
+    assert precisions == [32, 52, 92, 172, 332, 652]
 
 
 def _reference_bound(N, lower):
@@ -412,29 +420,53 @@ def _exact_row(N):
 @pytest.mark.parametrize("start, stop, step", [
     (1, 5003, 1),
     (1, 20003, 7),
-    (10 ** 9 - 3, 10 ** 9 + 4, 1),     # across the float delta's limit
+    (10 ** 9 - 3, 10 ** 9 + 4, 1),
+    (2 ** 40, 2 ** 40 + 200, 1),
+    (2 ** 64, 2 ** 64 + 100, 1),
     (2 ** 1023 - 3, 2 ** 1023 + 4, 1),   # across the float stage's limit
-    # where the float path's error bound is widest: 500 seeded random N
-    pytest.param(10 ** 8, 10 ** 9, None, id="500-random-N-in-1e8-1e9"),
+    # -step seeded random N; the float delta's error bound grows with the
+    # bit length of N, so it is widest just below 2^1023
+    pytest.param(10 ** 8, 10 ** 9, -500, id="500-random-N-in-1e8-1e9"),
+    pytest.param(2 ** 1022, 2 ** 1023, -200, id="200-random-N-in-2^1022-2^1023"),
 ])
 def test_scan_rows_match_exact_functions(start, stop, step):
-    if step is None:
-        sample = sorted(random.Random(start).sample(range(start, stop), 500))
-        rows = map(analysis.delta_record, sample)
+    if step < 0:
+        rng = random.Random(start)
+        sample = (rng.sample(range(start, stop), -step) if stop - start <= sys.maxsize
+                  else [rng.randrange(start, stop) for _ in range(-step)])
+        rows = map(analysis.delta_record, sorted(sample))
     else:
         rows = analysis.scan(start, stop, step)
     for rec in rows:
         d, row = _exact_row(rec.N)
         assert (rec.N, rec.S, rec.delta_text, rec.lower, rec.upper) == row
+        assert type(rec.delta) is float
         assert rec.in_bounds == (rec.lower <= rec.S
                                  and (rec.upper is None or rec.S <= rec.upper))
         assert abs(_mpf(rec.delta) / _mpf(d) - 1) < analysis._ERR_BIT * rec.N.bit_length() + analysis._ERR_ROUND
 
 
+def test_delta_record_evaluates_decimal_delta_only_past_2_1023(monkeypatch):
+    # below 2^1023 a row's delta is its float S/N**LAMBDA; past that it is
+    # read from one 40-digit delta
+    calls = []
+    delta = analysis.delta
+
+    def counted(*args):
+        calls.append(args[0])
+        return delta(*args)
+    monkeypatch.setattr(analysis, "delta", counted)
+    rows = list(analysis.scan(2 ** 40, 2 ** 40 + 2000))
+    assert calls == []
+    assert all(type(rec.delta) is float for rec in rows)
+    assert type(analysis.delta_record(2 ** 1023).delta) is float
+    assert calls == [2 ** 1023]
+
+
 def test_float_delta_lies_inside_the_derived_error_bound():
     # _delta_text's premise: d = S/N**LAMBDA is within
     # _ERR_BIT * bits + _ERR_ROUND relative of the exact delta (the bound
-    # derived above analysis._FAST_MAX), at every bit length it serves
+    # derived above analysis._FLOAT_LIMIT), at every bit length it serves
     rng = random.Random(2023)
     ns = [*range(1, 5003), *range(10 ** 9 - 1000, 10 ** 9 + 1)]
     ns += [rng.randrange(1 << b - 1, 1 << b) for b in range(2, 1024) for _ in range(20)]
@@ -448,7 +480,7 @@ def test_float_delta_lies_inside_the_derived_error_bound():
 def test_float_bounds_lie_inside_the_derived_error_bound():
     # the float stage's premise: v = c*N**LAMBDA is within
     # _ERR_BIT * bits + _ERR_BOUND relative of the bound's value (derived
-    # above analysis._FAST_MAX), and the widened ends v*_BELOW and v*_ABOVE
+    # above analysis._FLOAT_LIMIT), and the widened ends v*_BELOW and v*_ABOVE
     # enclose that value, for 20 random N of each bit length below 1024
     # and each 2^bits - 1
     rng = random.Random(1023)
@@ -573,6 +605,10 @@ def test_numpy_integers_accepted():
         == core.six_residue_sum(5, big - 9, big)
     assert core.scaled_residue_sum(1, 2, 1, np.int64(70)) == core.scaled_residue_sum(1, 2, 1, 70)
     assert analysis.delta(np.int64(6)) == analysis.delta(6)
+    assert analysis.delta(6, np.int64(2)) == analysis.delta(6, 2)
+    assert verify.run_core_checks(np.int64(100)) == verify.run_core_checks(100)
+    assert type(verify.bounds_sweep(np.int64(1000)).max_n) is int
+    assert verify.bounds_sweep(np.int64(1000)) == verify.bounds_sweep(1000)
     assert analysis.lower_bound(np.int64(3)) == 1
     assert analysis.upper_bound(np.int64(19)) == 7
     assert analysis.coquet_ratio(np.int64(2)) == analysis.coquet_ratio(2)

@@ -7,7 +7,7 @@ from hypothesis import example, given, settings, strategies as st
 import brute
 import digit_dp
 import walks
-from newmansum import analysis, core
+from newmansum import analysis, core, verify
 
 
 # ---------------------------------------------------------------- digit sums
@@ -590,6 +590,8 @@ _NATURAL_ARGUMENTS = (
     (lambda step: next(analysis.scan(1, 9, step)), 1, "scan needs step >= 1"),
     (analysis.eta_row, 1, "eta_row needs x >= 1"),
     (analysis.eta_rows, 1, "eta_rows needs x_max >= 1"),
+    (verify.run_core_checks, 0, "run_core_checks needs max_n >= 0"),
+    (verify.bounds_sweep, 2, "bounds_sweep needs max_n >= 2"),
 )
 
 
