@@ -138,11 +138,11 @@ def _write_recursion_trace(N: int, total_text: str) -> None:
 def _write_decomposition_trace(N: int, total_text: str) -> None:
     write = sys.stdout.write
     terms = core.decomposition_terms(N)
-    scaled = [(c, j) for _, c, j in terms]
     with _exact_decimal():
-        for (desc, _, _), value in zip(terms, _scaled_powers_of_3(scaled)):
+        values = _scaled_powers_of_3((c, j) for _, c, j in terms)
+        for (desc, _, _), value in zip(terms, values):
             write(f"{desc} = {value}\n")
-        _write_sum_line(_scaled_powers_of_3(scaled), total_text)
+        _write_sum_line(_scaled_powers_of_3((c, j) for _, c, j in terms), total_text)
 
 
 def _cmd_eval(args) -> int:

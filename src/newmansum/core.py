@@ -38,7 +38,6 @@ limited to machine-word range.
 
 from array import array
 from decimal import Decimal
-from functools import cache
 from operator import index
 
 __all__ = [
@@ -65,7 +64,8 @@ def _at_least(n, least: int, what: str) -> int:
     """index(n), checked to be at least ``least``; below it, raises
     ValueError(f"{what} >= {least}")."""
     # newman_sum_decomposition, newman_sum_recursive and alt_exponent_sum keep
-    # their checks inline: verify.run_core_checks calls each once per N
+    # their checks inline, and _run reads its tables from _TABLES rather than
+    # through a call: verify.run_core_checks calls each once per N
     n = index(n)
     if n < least:
         raise ValueError(f"{what} >= {least}")
@@ -273,7 +273,11 @@ def residue_sum(l: int, N: int, evaluate=newman_sum_recursive) -> int:
     l, N = index(l), _at_least(N, 0, "residue_sum needs N")
     if l not in (0, 1, 2):
         raise ValueError("residue must be 0, 1 or 2")
-    return sum(c * evaluate(N << i) for i, c in enumerate(_RESIDUE_ROWS[l]))
+    total = 0
+    for c in _RESIDUE_ROWS[l]:
+        total += c * evaluate(N)
+        N <<= 1
+    return total
 
 
 def six_residue_sum(j: int, x: int, y: int) -> int:
@@ -367,28 +371,39 @@ def _step_table(step) -> list:
     return table
 
 
-@cache
-def _byte_table(step) -> tuple:
-    """Extend ``step`` to bytes.
+# The byte tables of each step function, keyed by it: filled by _byte_table
+# at a step's first scan, so none is built at import and there are at most
+# two, one per evaluator, shared by both summing paths of _run.
+_TABLES = {}
 
-    Built once per step function.  Returns arrays indexed by
-    ``state << 8 | byte``: the state after the byte, shifted left by 8, and
-    the byte's four output digits as one radix-81 digit
-    d0 + 3*d1 + 9*d2 + 27*d3, d0 from the lowest bits.
+
+def _byte_table(step) -> tuple:
+    """Extend ``step`` to bytes, and store the tables in ``_TABLES[step]``.
+
+    Returns arrays indexed by ``state << 8 | byte``: the state after the
+    byte, shifted left by 8, and the byte's four output digits as one
+    radix-81 digit d0 + 3*d1 + 9*d2 + 27*d3, d0 from the lowest bits.
     """
     # one pair stage: pairs[state][p] is (state, lo + 3*hi) after the base-4
     # digits hi, lo of p; a byte steps through its high pair, then its low pair
     table = _step_table(step)
     pairs = [[(s2, lo + 3 * hi) for s1, hi in row for s2, lo in table[s1]] for row in table]
-    return (array("H", (t << 8 for row in pairs for s, _ in row for t, _ in pairs[s])),
-            array("b", (lo + 9 * hi for row in pairs for s, hi in row for _, lo in pairs[s])))
+    tables = _TABLES[step] = (
+        array("H", (t << 8 for row in pairs for s, _ in row for t, _ in pairs[s])),
+        array("b", (lo + 9 * hi for row in pairs for s, hi in row for _, lo in pairs[s])))
+    return tables
 
 
 def _run(x: int, step) -> int:
     """sum of d_j * 81^j over the radix-81 output digits d_j of ``step``'s
     byte transducer on x, highest first as read from the top byte: by Horner
-    in the scan for at most _HORNER_BYTES bytes, else by _assemble."""
-    next_state, out = _byte_table(step)
+    in the scan for at most _HORNER_BYTES bytes, else by _assemble.  The
+    tables come from _TABLES, read without a call; _byte_table builds them
+    on a step's first scan."""
+    try:
+        next_state, out = _TABLES[step]
+    except KeyError:
+        next_state, out = _byte_table(step)
     state = value = 0
     data = x.to_bytes((x.bit_length() + 7) // 8, "big")
     if len(data) <= _HORNER_BYTES:

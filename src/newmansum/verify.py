@@ -60,19 +60,24 @@ def run_core_checks(max_n: int) -> CheckReport:
     the oracle in one ascending pass per identity."""
     max_n = core._at_least(max_n, 0, "run_core_checks needs max_n")
     rep = CheckReport()
-    fail = rep.failures.append   # the two hottest loops count their checks once
+    # the per-N loops count their checks once each and read the core
+    # functions they call once per run, not at import, so that a function
+    # replaced in core after import is the one checked
+    fail = rep.failures.append
+    decomposition, recursive = core.newman_sum_decomposition, core.newman_sum_recursive
 
     # both fast algorithms against the enumeration oracle
     for N, want in enumerate(_entries(3, 0, max_n)):
-        if core.newman_sum_decomposition(N) != want:
+        if decomposition(N) != want:
             fail(("decomposition-vs-oracle", N))
-        if core.newman_sum_recursive(N) != want:
+        if recursive(N) != want:
             fail(("recursion-vs-oracle", N))
     rep.checks += 2 * (max_n + 1)
 
     # alternating exponent sum is congruent to its argument mod 3
+    alt_exponent_sum = core.alt_exponent_sum
     for y in range(1, max_n + 1):
-        if core.alt_exponent_sum(y) % 3 != y % 3:
+        if alt_exponent_sum(y) % 3 != y % 3:
             fail(("alt-exponent-congruence", y))
     rep.checks += max_n
 
@@ -89,32 +94,44 @@ def run_core_checks(max_n: int) -> CheckReport:
 
     # one-point boundary term for odd arguments: entries N - 1 and N
     entries = _entries(3, 0, max_n)
+    boundary_term = core.boundary_term
     for N, before, S in zip(range(1, max_n + 1, 2), entries, entries):
-        rep.note(core.boundary_term(N) == S - before, "boundary-term", N)
+        if boundary_term(N) != S - before:
+            fail(("boundary-term", N))
+    rep.checks += (max_n + 1) // 2
 
     # the full Thue-Morse sum over an even prefix vanishes
     for x, S in zip(range(0, max_n + 1, 2), islice(_entries(1, 0, max_n), 0, None, 2)):
-        rep.note(S == 0, "balance", x)
+        if S:
+            fail(("balance", x))
+    rep.checks += max_n // 2 + 1
 
     # quadrupling: S([0,4y)) = 3*S([0,y)) for even y
     q_max = min(max_n // 4, 2 ** 14)
     evens = islice(_entries(3, 0, q_max), 0, None, 2)
     quads = islice(_entries(3, 0, 4 * q_max), 0, None, 8)
     for y, S, S4 in zip(range(0, q_max + 1, 2), evens, quads):
-        rep.note(S4 == 3 * S, "quadrupling", y)
+        if S4 != 3 * S:
+            fail(("quadrupling", y))
+    rep.checks += q_max // 2 + 1
 
     # residue-class combinations against their own enumerations; the
     # partition reuses the class-1 and class-2 sums of even N
     cap_r = min(max_n, 4096)
+    residue_sum = core.residue_sum
     totals = []
     for N, S1, S2 in zip(range(cap_r + 1), _entries(3, 1, cap_r), _entries(3, 2, cap_r)):
-        r1, r2 = core.residue_sum(1, N), core.residue_sum(2, N)
-        rep.note(r1 == S1, "residue-one", N)
-        rep.note(r2 == S2, "residue-two", N)
+        r1, r2 = residue_sum(1, N), residue_sum(2, N)
+        if r1 != S1:
+            fail(("residue-one", N))
+        if r2 != S2:
+            fail(("residue-two", N))
         if N % 2 == 0:
             totals.append(r1 + r2)
     for N, total in zip(range(0, cap_r + 1, 2), totals):
-        rep.note(core.residue_sum(0, N) + total == 0, "residue-partition", N)
+        if residue_sum(0, N) + total:
+            fail(("residue-partition", N))
+    rep.checks += 2 * (cap_r + 1) + cap_r // 2 + 1
 
     return rep
 

@@ -19,9 +19,9 @@ def corrupt_correction(monkeypatch):
     bad = list(core._CORRECTION)
     bad[15] = -bad[15]
     monkeypatch.setattr(core, "_CORRECTION", tuple(bad))
-    core._byte_table.cache_clear()
+    core._TABLES.clear()
     yield
-    core._byte_table.cache_clear()
+    core._TABLES.clear()
 
 
 @pytest.fixture

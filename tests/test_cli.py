@@ -551,10 +551,10 @@ def test_import_builds_no_byte_table():
         "import contextlib, io",
         "import newmansum.cli",
         "from newmansum import core",
-        "assert core._byte_table.cache_info().currsize == 0, core._byte_table.cache_info()",
+        "assert len(core._TABLES) == 0, core._TABLES",
         "with contextlib.redirect_stdout(io.StringIO()):",
         "    assert newmansum.cli.main(['eval', '19']) == 0",
-        "assert core._byte_table.cache_info().currsize == 1, core._byte_table.cache_info()",
+        "assert len(core._TABLES) == 1, core._TABLES",
     ])
     proc = subprocess.run([sys.executable, "-c", code],
                           capture_output=True, text=True, env=_package_env())

@@ -390,15 +390,37 @@ def test_byte_table_matches_digit_walk(step, states):
 def test_byte_table_build_peaks_small():
     # the arrays take 9 KiB; the bound leaves room for one stage of 16-entry
     # pair rows, not for a 3072-entry table of (state, digit) tuples
-    core._byte_table.cache_clear()
+    core._TABLES.clear()
     tracemalloc.start()
     try:
         core._byte_table(core._recursion_step)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-        core._byte_table.cache_clear()
+        core._TABLES.clear()
     assert peak < 0.05 * 2 ** 20
+
+
+def test_byte_tables_built_once_per_evaluator(monkeypatch):
+    # every size of N, both summing paths of _run included (the Horner limit
+    # falls between 224 and 225 bytes of the scanned x), shares one pair of
+    # tables per step function
+    builds = []
+    real = core._step_table
+    monkeypatch.setattr(core, "_step_table", lambda step: builds.append(step) or real(step))
+    monkeypatch.setattr(core, "_TABLES", {})
+    rng = random.Random(28)
+    for bits in [0, 1, 2, 7, 8, 9, *range(8 * 223 - 1, 8 * 225 + 3), 2 ** 12, 2 ** 14]:
+        N = rng.getrandbits(bits) | 1 << bits >> 1
+        assert core.newman_sum_decomposition(N) == core.newman_sum_recursive(N), bits
+        for l in (0, 1, 2):
+            core.residue_sum(l, N)
+            core.residue_sum(l, N, core.newman_sum_decomposition)
+    assert set(core._TABLES) == {core._recursion_step, core._decomposition_step}
+    assert sorted(builds, key=id) == sorted(core._TABLES, key=id)
+    core.newman_sum_decomposition(rng.getrandbits(2 ** 14))
+    core.newman_sum_recursive(rng.getrandbits(2 ** 14))
+    assert len(builds) == len(core._TABLES) == 2
 
 
 # ------------------------------------------------------------- residue classes
