@@ -12,16 +12,20 @@ identities, and the residue-class combinations.
 It walks the 4-adic blocks of ``analysis.bound_blocks`` rather than
 visiting every N: the recursion's least and greatest S on each block clear
 both bounds strictly, and with them Newman's inequality, or the block is
-a single N.  One pass over the oracle prefix takes each block's minimum
-and maximum.  Where they equal the recursion's, the block holds no
-violation and no attainment; where they differ, or the block is a single
-N, each entry is read and compared with the recursion once.  So every
-block's extremes are checked against the recursion, which keeps the bounds
-verdict sound; ``run_core_checks`` is the per-N cross-check.
+a single N.  A correct prefix is equal at 3k+1, 3k+2 and 3k+3, as
+S_{3,0}(x) counts only the multiples of 3 below x; two strided
+comparisons check that on each block, and the block's minimum and maximum
+are then read from the entries at multiples of 3 and its last.  Where
+they equal the recursion's, the block holds no violation and no
+attainment; where a step is not flat, the extremes differ, or the block
+is a single N, each entry is read and compared with the recursion once.
+So every block's extremes are checked against the recursion, which keeps
+the bounds verdict sound; ``run_core_checks`` is the per-N cross-check.
 
 Both sweeps read the oracle prefix as a stream of fixed chunks, in
 ascending order, so their memory is bounded by the chunk size, not by
-the range; ``run_core_checks`` makes one plain pass per identity.
+the range; ``run_core_checks`` makes one plain pass per identity, and
+``bounds_sweep`` lets go of each chunk before the next one is built.
 """
 
 from dataclasses import dataclass, field
@@ -153,12 +157,32 @@ class BoundsReport:
 _SPOT_STEP = 9973   # every _SPOT_STEP-th N checks the bounds against their decimal path
 
 
+def _block_extremes(piece, a):
+    """(least, greatest) of ``piece``, the prefix entries S(a), ...,
+    S(a + len(piece) - 1) of a block at least 4 wide, or None where an
+    entry at x = 1 or 2 (mod 3) differs from the one at x + 1.
+
+    S_{3,0}(x) counts only the multiples of 3 below x, so a correct prefix
+    is equal at 3k+1, 3k+2 and 3k+3.  The two strided comparisons check
+    that in C; where it holds, every entry equals one at a multiple of 3 or
+    the last, and only those are read.
+    """
+    n = len(piece)
+    for r in (1, 2):
+        i = (r - a) % 3
+        if piece[i:n - 1:3] != piece[i + 1::3]:
+            return None
+    steps, last = piece[-a % 3::3], piece[-1]
+    return min(min(steps), last), max(max(steps), last)
+
+
 def bounds_sweep(max_n: int) -> BoundsReport:
     """Verify the sharp bounds and Newman's inequality for 1 <= N <= max_n.
 
     S values come from the enumeration oracle.  Each block of
-    ``analysis.bound_blocks`` has the oracle's extremes checked against the
-    recursion's.  Every entry of a single-N or disagreeing block, and every
+    ``analysis.bound_blocks`` has its steps checked flat and the oracle's
+    extremes checked against the recursion's (``_block_extremes``).  Every
+    entry of a single-N block, of one that fails either check, and every
     multiple of _SPOT_STEP in a whole one, is read and compared with the
     recursion once; at a multiple of _SPOT_STEP the bounds are compared
     with their decimal-only evaluation too.
@@ -166,20 +190,24 @@ def bounds_sweep(max_n: int) -> BoundsReport:
     The prefix is read in one ascending pass, faults included, and no block
     read is wider than a chunk: blocks are capped at 4^top entries, the
     largest power of 4 dividing ``oracle._CHUNK``, and a block starts at a
-    multiple of its width, so it lies inside one chunk.
+    multiple of its width, so it lies inside one chunk.  A chunk and its
+    views are dropped before the next chunk is built, so the sweep holds
+    one chunk and that build.
     """
     max_n = core._at_least(max_n, 2, "bounds_sweep needs max_n")
     chunks = oracle._prefix_chunks(3, 0, max_n)     # checks the cap before any work
     top = ((oracle._CHUNK & -oracle._CHUNK).bit_length() - 1) // 2
-    start, chunk = 0, ()
+    start = end = 0
     lam = analysis.LAMBDA
     rep = BoundsReport(max_n)
     for a, b, smin, smax in analysis.bound_blocks(max_n, _top=top):
         rep.checks += 2 * (b - a)
-        while a >= start + len(chunk):
+        while a >= end:
+            chunk = piece = entries = None      # not alive while the next is built
             start, chunk = next(chunks)
+            end = start + len(chunk)
         piece = memoryview(chunk)[a - start:b - start]
-        whole = b - a > 1 and min(piece) == smin and max(piece) == smax
+        whole = b - a > 1 and _block_extremes(piece, a) == (smin, smax)
         if whole:
             entries = [(N, piece[N - a]) for N in range(a + -a % _SPOT_STEP, b, _SPOT_STEP)]
         else:

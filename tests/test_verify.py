@@ -157,6 +157,30 @@ def test_bounds_sweep_reports_injected_faults(where, faulty_oracle):
     assert not rep.ok
 
 
+def test_block_extremes_are_the_slice_extremes():
+    # every block bounds_sweep(5000) could read whole, at every a mod 3
+    prefix = oracle.oracle_prefix(3, 0, 5000)
+    blocks = [(a, b) for a, b, _, _ in analysis.bound_blocks(5000, _top=7) if b - a >= 4]
+    assert {a % 3 for a, _ in blocks} == {0, 1, 2}
+    for a, b in blocks:
+        piece = memoryview(prefix)[a:b]
+        assert verify._block_extremes(piece, a) == (min(piece), max(piece)), (a, b)
+
+
+@pytest.mark.parametrize("N", [325, 326, 327])     # x = 1, 2 and 0 (mod 3)
+def test_bounds_sweep_catches_a_fault_inside_the_extremes(N, faulty_oracle):
+    # the whole block [320, 384) has extremes 54 and 63; raising S(N) by
+    # one to 62 keeps them, so only the step check can see it
+    S = oracle.oracle_sum(3, 0, N) + 1
+    assert (320, 384, 54, 63) in analysis.bound_blocks(5000, _top=7)
+    assert S == 62
+    faulty_oracle({N: S})
+    rep = verify.bounds_sweep(5000)
+    assert (N, S, "recursion-mismatch", None) in rep.bound_violations
+    assert rep == _per_n_sweep(5000, oracle.oracle_prefix(3, 0, 5000))
+    assert not rep.ok
+
+
 @pytest.mark.parametrize("faults", [{}, {50: 0, 700: 0}, {2: 5, 8: 0, 62: 40}])
 def test_small_chunks_give_the_same_reports(faults, faulty_oracle, monkeypatch):
     # the boundary term's pairs straddle chunk edges.  bounds_sweep caps
@@ -236,3 +260,9 @@ def _peak(sweep, max_n):
 def test_sweep_memory_is_bounded_by_a_chunk(sweep, small, large):
     sweep(small)        # the caches any call fills
     assert abs(_peak(sweep, large) - _peak(sweep, small)) < 8 * oracle._CHUNK
+
+
+def test_bounds_sweep_holds_one_chunk_while_building_the_next():
+    # the previous chunk and its views are dropped before the next is built
+    verify.bounds_sweep(2 * 10 ** 5)    # the caches any call fills
+    assert _peak(verify.bounds_sweep, 2 * 10 ** 5) < 2 * 8 * oracle._CHUNK
