@@ -7,7 +7,9 @@ The public functions of the growth exponent lam = ln3/ln4 (``delta``,
 ``decimal.Decimal`` values of 40 significant digits.  Every exact value
 is one evaluation of (a/b)*x^lam, x <= 1 rational, in the standard
 library's ``decimal``, whose ln and exp are correctly rounded; so the
-operation count bounds its error (derived above ``_ERR_ULPS``).
+operation count bounds its error (derived above ``_ERR_ULPS``).  The 40
+digits carry that error, at most 110 units of the 40th: ``growth_exponent()``
+ends in ...796 where lam ends in ...799.
 
 ``lower_bound`` and ``upper_bound``, one evaluator per sharp bound, serve
 ``bound_blocks``, ``verify.bounds_sweep`` and ``delta_record`` (so
@@ -21,7 +23,8 @@ float N**LAMBDA widened by the error bound derived above ``_FLOAT_LIMIT``;
 past it, or where that cannot tell, the value is evaluated at _GUARD
 digits past its integer part, then twice the digits, and past _MAX_GUARD
 digits raises ``PrecisionCapError``.  A row's delta text comes from its
-float S/N**LAMBDA, widened alike, or else from that ladder past 12 digits.
+float delta, widened alike, or else from that ladder past 12 digits; the
+float is S/N**LAMBDA, or past 2^1023 the float of the 40-digit delta.
 
 ``bound_blocks`` walks the 4-adic blocks of the recursion transducer: a
 block's least and greatest S come from a min/max dynamic program over the
@@ -88,7 +91,7 @@ _MAX_GUARD = 640   # the most digits past them that are ever tried
 # x^lam relatively, and the last two steps make v within 20.5u of its
 # computed value V, relatively, up to O(u^2).  V < 10^(E+1), E its
 # adjusted exponent, so that is under 105 units of 10^(E+1-p), the last
-# place of a p-digit number of V's size; _enclose widens V by _ERR_ULPS of
+# place of a p-digit number of V's size; _ladder widens V by _ERR_ULPS of
 # them.
 _ERR_ULPS = 110
 
@@ -112,7 +115,9 @@ LAMBDA = math.log(3) / math.log(4)
 # _ERR_ROUND) covers the rounding of its ends d*(1 -+ e).  Over 20 random N
 # of each bit length below 1024, the worst errors measured were 0.96 of
 # the bound for v and 0.98 for d.  Past _FLOAT_LIMIT float(N) overflows,
-# and delta_record's d is the float nearest the 40-digit delta.
+# and delta_record's d is the float nearest the 40-digit delta.  That is
+# within 2^-53 + 110*10^-39 relative of delta, which is inside _ERR_ROUND,
+# and the exponent term does not apply, so _delta_text reads it at bits = 0.
 _FLOAT_LIMIT = 1 << 1023
 _ERR_BIT = 4.1e-17
 _ERR_ROUND = 5.1e-16
@@ -137,7 +142,7 @@ def _context(prec: int) -> decimal.Context:
                            Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN)
 
 
-_EXACT = _context(decimal.MAX_PREC)   # adds the few digits of _enclose exactly
+_EXACT = _context(decimal.MAX_PREC)   # adds the few digits of _ladder exactly
 
 
 @lru_cache(maxsize=64)
@@ -156,18 +161,16 @@ def _power(a: int, b: int, xn: int, xd: int, prec: int) -> Decimal:
     return ctx.divide(ctx.multiply(w, a), b)
 
 
-def _enclose(v: Decimal, prec: int):
-    """(lo, hi), exact, around the value that _power computed as v."""
-    err = _EXACT.scaleb(_ERR_ULPS, v.adjusted() + 1 - prec)
-    return _EXACT.subtract(v, err), _EXACT.add(v, err)
-
-
-def _guards(first: int):
-    """first, 2*first, 4*first, ... up to _MAX_GUARD: the digits past a
-    value's integer or printed part that are tried in turn."""
-    guard = first
+def _ladder(digits: int, evaluate, *args):
+    """(lo, hi), exact, around the value that ``evaluate(*args, prec)``, a
+    ``_power`` evaluation, computes at prec = digits + _GUARD, then at
+    twice the guard digits past ``digits``, and so on up to _MAX_GUARD."""
+    guard = _GUARD
     while guard <= _MAX_GUARD:
-        yield guard
+        prec = digits + guard
+        v = evaluate(*args, prec)
+        err = _EXACT.scaleb(_ERR_ULPS, v.adjusted() + 1 - prec)
+        yield _EXACT.subtract(v, err), _EXACT.add(v, err)
         guard *= 2
 
 
@@ -228,9 +231,7 @@ def _exact_round(N: int, num: int, den: int, base: int, up: int) -> int:
     e = (N.bit_length() - 1) // 2
     a, xd = num * 3 ** e, base << 2 * e
     digits = (a // den).bit_length() * 30103 // 100000 + 1   # log10(2) < 0.30103
-    for guard in _guards(_GUARD):
-        prec = digits + guard
-        lo, hi = _enclose(_power(a, den, N, xd, prec), prec)
+    for lo, hi in _ladder(digits, _power, a, den, N, xd):
         if (b := _settle(N, lo, hi, num, den, base, up)) is not None:
             return b
     raise PrecisionCapError(f"a sharp bound at a {N.bit_length()}-bit N is not "
@@ -273,11 +274,8 @@ def _exact_text(N: int, S: int) -> str:
     of it on ``_exact_round``'s ladder of guard digits past the 12 printed
     ones, until both ends print alike.  The printing rounds monotonically,
     so then S/N^lam prints so too."""
-    for guard in _guards(_GUARD):
-        prec = 12 + guard
-        lo, hi = _enclose(_delta_at(N, S, prec), prec)
-        text = format_significant(lo)
-        if text == format_significant(hi):
+    for lo, hi in _ladder(12, _delta_at, N, S):
+        if (text := format_significant(lo)) == format_significant(hi):
             return text
     raise PrecisionCapError(f"delta at a {N.bit_length()}-bit N is not decided "
                             f"{_MAX_GUARD} digits past its 12th")
@@ -408,7 +406,8 @@ def bound_blocks(max_n: int, _top=math.inf):
 
 def _delta_text(d: float, bits: int) -> str | None:
     """``format_significant(delta)`` from d = S/N**LAMBDA at an N of
-    ``bits`` bits, N < _FLOAT_LIMIT, or None where d cannot tell.
+    ``bits`` bits, N < _FLOAT_LIMIT, or from d the float of the 40-digit
+    delta and bits = 0 past it; None where d cannot tell.
 
     d is within _ERR_BIT * bits + _ERR_ROUND relative of delta, so delta
     lies between d*(1 - e) and d*(1 + e) for e _ERR_SAFETY times that.
@@ -451,7 +450,7 @@ def delta_record(N: int) -> DeltaRecord:
     lo = _bound(N, p, _C_LO, _LOWER)
     hi = _bound(N, p, _C_HI, _UPPER) if N >= 2 else None
     d = S / p if p else float(delta(N, S))
-    text = _delta_text(d, N.bit_length()) if p else None
+    text = _delta_text(d, N.bit_length() if p else 0)
     ok = lo <= S and (hi is None or S <= hi)
     return DeltaRecord(N, S, d, text or _exact_text(N, S), lo, hi, ok)
 

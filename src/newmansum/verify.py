@@ -24,8 +24,10 @@ the bounds verdict sound; ``run_core_checks`` is the per-N cross-check.
 
 Both sweeps read the oracle prefix as a stream of fixed chunks, in
 ascending order, so their memory is bounded by the chunk size, not by
-the range; ``run_core_checks`` makes one plain pass per identity, and
-``bounds_sweep`` lets go of each chunk before the next one is built.
+the range.  ``run_core_checks`` reads each oracle class in one pass,
+S_{3,0} beside one stride-2 stream of its own for quadrupling, and no
+stream outlives its pass; ``bounds_sweep`` lets go of each chunk before
+the next one is built.
 """
 
 from dataclasses import dataclass, field
@@ -42,11 +44,6 @@ class CheckReport:
     checks: int = 0
     failures: list = field(default_factory=list)  # (check name, witness)
 
-    def note(self, ok: bool, name: str, witness) -> None:
-        self.checks += 1
-        if not ok:
-            self.failures.append((name, witness))
-
     @property
     def ok(self) -> bool:
         return not self.failures
@@ -61,22 +58,36 @@ def _entries(modulus, residue, limit):
 
 def run_core_checks(max_n: int) -> CheckReport:
     """Run the core invariant suite for all arguments up to max_n, reading
-    the oracle in one ascending pass per identity."""
+    each oracle class in one ascending pass."""
     max_n = core._at_least(max_n, 0, "run_core_checks needs max_n")
     rep = CheckReport()
-    # the per-N loops count their checks once each and read the core
-    # functions they call once per run, not at import, so that a function
-    # replaced in core after import is the one checked
+    # each loop counts its checks once, and the core functions are read
+    # once per run, not at import, so that a function replaced in core
+    # after import is the one checked
     fail = rep.failures.append
     decomposition, recursive = core.newman_sum_decomposition, core.newman_sum_recursive
+    boundary_term = core.boundary_term
 
-    # both fast algorithms against the enumeration oracle
-    for N, want in enumerate(_entries(3, 0, max_n)):
-        if decomposition(N) != want:
+    # S_{3,0}: both fast algorithms against the oracle at every N, the
+    # one-point boundary term S(N) - S(N - 1) at odd N, and quadrupling
+    # S(4y) = 3*S(y) at N = 4y for even y <= q_max, S(y) read from a
+    # stride-2 stream of its own
+    q_max = min(max_n // 4, 2 ** 14)
+    q_end, before = 4 * q_max, 0
+    evens = islice(_entries(3, 0, q_max), 0, None, 2)
+    for N, S in enumerate(_entries(3, 0, max_n)):
+        if decomposition(N) != S:
             fail(("decomposition-vs-oracle", N))
-        if recursive(N) != want:
+        if recursive(N) != S:
             fail(("recursion-vs-oracle", N))
-    rep.checks += 2 * (max_n + 1)
+        if N & 1:
+            if boundary_term(N) != S - before:
+                fail(("boundary-term", N))
+        elif not N & 7 and N <= q_end and 3 * next(evens) != S:
+            fail(("quadrupling", N >> 2))
+        before = S
+    del evens       # its last chunk is not alive in the later passes
+    rep.checks += 2 * (max_n + 1) + (max_n + 1) // 2 + q_max // 2 + 1
 
     # alternating exponent sum is congruent to its argument mod 3
     alt_exponent_sum = core.alt_exponent_sum
@@ -87,22 +98,16 @@ def run_core_checks(max_n: int) -> CheckReport:
 
     # closed forms for the primitive intervals
     n_hi = min(18, max(max_n.bit_length() - 1, 0))
+    power_sum, dyadic_sum = core.power_sum, core.dyadic_sum
     for m in range(n_hi + 1):
-        want = oracle.oracle_sum(3, 0, 2 ** m)
-        rep.note(core.power_sum(m) == want, "power-closed-form", m)
+        if power_sum(m) != oracle.oracle_sum(3, 0, 2 ** m):
+            fail(("power-closed-form", m))
     for n in range(2, n_hi + 1):
         parity = "even" if n % 2 == 0 else "odd"
         for m in range(1, n):
-            want = oracle.oracle_interval_sum(3, 0, 2 ** n, 2 ** n + 2 ** m)
-            rep.note(core.dyadic_sum(parity, m) == want, "dyadic-closed-form", (n, m))
-
-    # one-point boundary term for odd arguments: entries N - 1 and N
-    entries = _entries(3, 0, max_n)
-    boundary_term = core.boundary_term
-    for N, before, S in zip(range(1, max_n + 1, 2), entries, entries):
-        if boundary_term(N) != S - before:
-            fail(("boundary-term", N))
-    rep.checks += (max_n + 1) // 2
+            if dyadic_sum(parity, m) != oracle.oracle_interval_sum(3, 0, 2 ** n, 2 ** n + 2 ** m):
+                fail(("dyadic-closed-form", (n, m)))
+    rep.checks += n_hi + 1 + n_hi * (n_hi - 1) // 2
 
     # the full Thue-Morse sum over an even prefix vanishes
     for x, S in zip(range(0, max_n + 1, 2), islice(_entries(1, 0, max_n), 0, None, 2)):
@@ -110,30 +115,17 @@ def run_core_checks(max_n: int) -> CheckReport:
             fail(("balance", x))
     rep.checks += max_n // 2 + 1
 
-    # quadrupling: S([0,4y)) = 3*S([0,y)) for even y
-    q_max = min(max_n // 4, 2 ** 14)
-    evens = islice(_entries(3, 0, q_max), 0, None, 2)
-    quads = islice(_entries(3, 0, 4 * q_max), 0, None, 8)
-    for y, S, S4 in zip(range(0, q_max + 1, 2), evens, quads):
-        if S4 != 3 * S:
-            fail(("quadrupling", y))
-    rep.checks += q_max // 2 + 1
-
-    # residue-class combinations against their own enumerations; the
-    # partition reuses the class-1 and class-2 sums of even N
+    # residue-class combinations against their own enumerations, and at
+    # even N the partition S_{3,0} + S_{3,1} + S_{3,2} = 0
     cap_r = min(max_n, 4096)
     residue_sum = core.residue_sum
-    totals = []
     for N, S1, S2 in zip(range(cap_r + 1), _entries(3, 1, cap_r), _entries(3, 2, cap_r)):
         r1, r2 = residue_sum(1, N), residue_sum(2, N)
         if r1 != S1:
             fail(("residue-one", N))
         if r2 != S2:
             fail(("residue-two", N))
-        if N % 2 == 0:
-            totals.append(r1 + r2)
-    for N, total in zip(range(0, cap_r + 1, 2), totals):
-        if residue_sum(0, N) + total:
+        if not N & 1 and residue_sum(0, N) + r1 + r2:
             fail(("residue-partition", N))
     rep.checks += 2 * (cap_r + 1) + cap_r // 2 + 1
 

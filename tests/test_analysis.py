@@ -463,6 +463,20 @@ def test_delta_record_evaluates_decimal_delta_only_past_2_1023(monkeypatch):
     assert calls == [2 ** 1023]
 
 
+def test_delta_text_past_2_1023_reads_the_float(monkeypatch):
+    # past 2^1023 a row's d is the float nearest the 40-digit delta,
+    # within 2^-53 + 110*10^-39 relative of delta, inside _ERR_ROUND: its
+    # text is read from d as below 2^1023, with no exact text evaluation
+    calls = []
+    exact_text = analysis._exact_text
+    monkeypatch.setattr(analysis, "_exact_text",
+                        lambda *args: calls.append(args) or exact_text(*args))
+    rows = list(analysis.scan(2 ** 1023, 2 ** 1023 + 20))
+    assert calls == []
+    for rec in rows:
+        assert rec.delta_text == exact_text(rec.N, rec.S), rec.N
+
+
 def test_float_delta_lies_inside_the_derived_error_bound():
     # _delta_text's premise: d = S/N**LAMBDA is within
     # _ERR_BIT * bits + _ERR_ROUND relative of the exact delta (the bound

@@ -197,15 +197,30 @@ def test_small_chunks_give_the_same_reports(faults, faulty_oracle, monkeypatch):
         assert {name for name, _ in want[1].failures} == {
             "decomposition-vs-oracle", "recursion-vs-oracle", "boundary-term",
             "balance", "quadrupling", "residue-one", "residue-two"}
+        # one pass per oracle class, in ascending N: S_{3,0} with its
+        # boundary terms and quadrupling at N = 4y, then balance, then the
+        # residue classes
         assert want[1].failures == [
             ("decomposition-vs-oracle", 2), ("recursion-vs-oracle", 2),
+            ("boundary-term", 3),
             ("decomposition-vs-oracle", 8), ("recursion-vs-oracle", 8),
+            ("quadrupling", 2), ("boundary-term", 9), ("quadrupling", 8),
             ("decomposition-vs-oracle", 62), ("recursion-vs-oracle", 62),
-            ("boundary-term", 3), ("boundary-term", 9), ("boundary-term", 63),
+            ("boundary-term", 63), ("quadrupling", 62),
             ("balance", 2), ("balance", 62),
-            ("quadrupling", 2), ("quadrupling", 8), ("quadrupling", 62),
             ("residue-one", 2), ("residue-two", 2), ("residue-one", 8),
             ("residue-one", 62), ("residue-two", 62)]
+        # and grouped by check
+        assert sorted(want[1].failures) == [
+            ("balance", 2), ("balance", 62),
+            ("boundary-term", 3), ("boundary-term", 9), ("boundary-term", 63),
+            ("decomposition-vs-oracle", 2), ("decomposition-vs-oracle", 8),
+            ("decomposition-vs-oracle", 62),
+            ("quadrupling", 2), ("quadrupling", 8), ("quadrupling", 62),
+            ("recursion-vs-oracle", 2), ("recursion-vs-oracle", 8),
+            ("recursion-vs-oracle", 62),
+            ("residue-one", 2), ("residue-one", 8), ("residue-one", 62),
+            ("residue-two", 2), ("residue-two", 62)]
 
 
 @pytest.mark.parametrize("chunk", [7, 16, 64, 2 ** 14])
@@ -266,3 +281,12 @@ def test_bounds_sweep_holds_one_chunk_while_building_the_next():
     # the previous chunk and its views are dropped before the next is built
     verify.bounds_sweep(2 * 10 ** 5)    # the caches any call fills
     assert _peak(verify.bounds_sweep, 2 * 10 ** 5) < 2 * 8 * oracle._CHUNK
+
+
+@pytest.mark.parametrize("max_n", [60000, 65536])
+def test_core_checks_let_no_stream_outlive_its_pass(max_n):
+    # the S_{3,0} pass holds its chunk, the quadrupling stream's and the
+    # next build; a stream still referenced after its pass adds its last
+    # chunk to a later pass, which at 60000 is a whole one
+    verify.run_core_checks(max_n)       # the caches any call fills
+    assert _peak(verify.run_core_checks, max_n) < 2.5 * 8 * oracle._CHUNK
