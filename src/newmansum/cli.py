@@ -11,6 +11,7 @@ and every later call reuses it; importing this module builds none.
 import argparse
 import contextlib
 import decimal
+import errno
 import os
 import sys
 import tempfile
@@ -328,13 +329,35 @@ def main(argv=None) -> int:
             return 2
 
 
+class _ClosedStdout:
+    """Stands in for a stdout closed at start (``sys.stdout`` is None): a
+    write fails as one to a closed descriptor does, and a command that
+    writes nothing there, such as a scan to its --out file, runs as usual."""
+
+    def write(self, text):
+        raise OSError(errno.EBADF, os.strerror(errno.EBADF))
+
+    def flush(self):
+        pass
+
+
 def run() -> None:
+    closed = sys.stdout is None
+    if closed:
+        sys.stdout = _ClosedStdout()
     try:
         code = main()
         sys.stdout.flush()
-    except BrokenPipeError:
-        # The reader closed stdout early.  Point it at devnull so that the
-        # interpreter's final flush is quiet, and report an I/O error.
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    except OSError as exc:
+        # A write or flush of stdout failed: the reader closed the pipe, the
+        # device is full or stdout is closed.  Point fd 1 at devnull so that
+        # the interpreter's final flush of what stdout still holds is quiet,
+        # and report an I/O error; a closed pipe is the reader's choice and
+        # gets no message.
+        if not closed:
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        if not isinstance(exc, BrokenPipeError):
+            with contextlib.suppress(OSError):
+                print(f"error: stdout: {exc.strerror or exc}", file=sys.stderr)
         code = 2
     sys.exit(code)

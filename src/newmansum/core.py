@@ -21,12 +21,16 @@ O(x) enumeration in :mod:`newmansum.oracle`:
 
 Both algorithms take O(log x) steps.  Each evaluator runs its steps as a
 finite-state transducer: it finds the small digits d_j of
-S_{3,0}(x) = sum of d_j * 3^j in one pass over the bytes of x.  An x of at
-most ``_HORNER_BYTES`` bytes has them summed by Horner's rule in that
-pass; a longer x has them summed by divide and conquer (``_assemble``), so
-its cost is bounded by big-integer multiplication.  ``decomposition_terms``
-and ``recursion_trace`` run the same transducer steps one digit or one set
-bit at a time and return its small outputs, the terms c * 3^j, for display.
+S_{3,0}(x) = sum of d_j * 3^j in one pass over the bytes of x, summed on
+one of three paths.  An x below 2^16 takes two table lookups and no loop:
+it is read as two bytes, the top one zero for x < 2^8, which is sound
+because a zero byte read in the start state outputs 0 and stays there.  An
+x of at most ``_HORNER_BYTES`` bytes has its digits summed by Horner's rule
+in the pass; a longer x has them summed by divide and conquer
+(``_assemble``), so its cost is bounded by big-integer multiplication.
+``decomposition_terms`` and ``recursion_trace`` run the same transducer
+steps one digit or one set bit at a time and return its small outputs, the
+terms c * 3^j, for display.
 
 Sums over the other residue classes mod 3, mod 6 and mod 3*2^m reduce to
 S_{3,0} by fixed linear combinations and are exposed as ``residue_sum``,
@@ -330,11 +334,14 @@ def scaled_residue_sum(m: int, k: int, r: int, n: int) -> int:
 # (S_{3,0} is 4-regular; Allouche & Shallit, Automatic Sequences, ch. 16).
 # _byte_table extends a transducer to whole bytes, four base-4 digits at a
 # time, so one pass over the bytes of x gives the digits, four per byte as
-# one digit in radix 81 = 3^4, highest first.  _run sums them by Horner's
-# rule in that pass when x has at most _HORNER_BYTES bytes, and otherwise by
-# _assemble's pairwise merge.  This replaces O(log x) steps on O(log x)-bit
-# integers by a linear scan and, for long x, a divide-and-conquer sum whose
-# cost is bounded by big-integer multiplication.
+# one digit in radix 81 = 3^4, highest first.  _run sums them on one of
+# three paths: an x below 2^16 by two lookups from state 0, with no bytes
+# object and no loop (a zero top byte, for x < 2^8, outputs 0 and stays in
+# state 0 under both step functions); an x of at most _HORNER_BYTES bytes by
+# Horner's rule in the scan; a longer x by _assemble's pairwise merge.  This
+# replaces O(log x) steps on O(log x)-bit integers by a linear scan and, for
+# long x, a divide-and-conquer sum whose cost is bounded by big-integer
+# multiplication.
 
 # Bytes of x up to which _run sums its digits by Horner in the scan loop:
 # the largest size at which Horner's median time was the lower.  Medians of
@@ -373,7 +380,7 @@ def _step_table(step) -> list:
 
 # The byte tables of each step function, keyed by it: filled by _byte_table
 # at a step's first scan, so none is built at import and there are at most
-# two, one per evaluator, shared by both summing paths of _run.
+# two, one per evaluator, shared by the three summing paths of _run.
 _TABLES = {}
 
 
@@ -396,14 +403,19 @@ def _byte_table(step) -> tuple:
 
 def _run(x: int, step) -> int:
     """sum of d_j * 81^j over the radix-81 output digits d_j of ``step``'s
-    byte transducer on x, highest first as read from the top byte: by Horner
-    in the scan for at most _HORNER_BYTES bytes, else by _assemble.  The
-    tables come from _TABLES, read without a call; _byte_table builds them
-    on a step's first scan."""
+    byte transducer on x, highest first as read from the top byte: by two
+    table lookups for x < 2^16, by Horner in the scan for at most
+    _HORNER_BYTES bytes, else by _assemble.  The tables come from _TABLES,
+    read without a call; _byte_table builds them on a step's first scan."""
     try:
         next_state, out = _TABLES[step]
     except KeyError:
         next_state, out = _byte_table(step)
+    if x < 65536:
+        # x as two bytes from state 0, the top one 0 for x < 256: a zero byte
+        # read in state 0 outputs 0 and stays in state 0 for both steps
+        i = x >> 8
+        return 81 * out[i] + out[next_state[i] | x & 255]
     state = value = 0
     data = x.to_bytes((x.bit_length() + 7) // 8, "big")
     if len(data) <= _HORNER_BYTES:

@@ -1,4 +1,5 @@
 import contextlib
+import errno
 import os
 import random
 import subprocess
@@ -631,3 +632,54 @@ def test_closed_stdout_during_trace_exits_2_without_traceback():
     assert code == 2
     assert first == f"{core.newman_sum_recursive(N)}\n".encode()
     assert err == b""
+
+
+# eta writes about 38 kB here, more than stdout's buffer, so a full device
+# fails a write inside the command, not only the flush at its end
+_STDOUT_COMMANDS = [["eval", "5"], ["eval", "5", "--trace"], ["verify", "--max", "300"],
+                    ["eta", "--max", "2001"]]
+
+_NO_DEV_FULL = pytest.mark.skipif(not os.path.exists("/dev/full"),
+                                  reason="needs the /dev/full device")
+
+
+def _run_without_stdout(argv, stdout):
+    """Run ``python -m newmansum argv`` with stdout on /dev/full (``"full"``)
+    or closed at start (``"closed"``); return (exit code, stderr)."""
+    def close_stdout():
+        os.close(1)
+
+    cmd = [sys.executable, "-m", "newmansum", *argv]
+    if stdout == "full":
+        with open("/dev/full", "w") as full:
+            proc = subprocess.run(cmd, stdout=full, stderr=subprocess.PIPE,
+                                  env=_package_env())
+    else:
+        proc = subprocess.run(cmd, stderr=subprocess.PIPE, env=_package_env(),
+                              preexec_fn=close_stdout)
+    return proc.returncode, proc.stderr
+
+
+@_NO_DEV_FULL
+@pytest.mark.parametrize("argv", _STDOUT_COMMANDS, ids=" ".join)
+def test_full_stdout_exits_2_with_one_error_line(argv):
+    code, err = _run_without_stdout(argv, "full")
+    assert code == 2
+    assert err == f"error: stdout: {os.strerror(errno.ENOSPC)}\n".encode()
+
+
+@pytest.mark.parametrize("argv", _STDOUT_COMMANDS, ids=" ".join)
+def test_stdout_closed_at_start_exits_2_with_one_error_line(argv):
+    code, err = _run_without_stdout(argv, "closed")
+    assert code == 2
+    assert err == f"error: stdout: {os.strerror(errno.EBADF)}\n".encode()
+
+
+@pytest.mark.parametrize("stdout", [pytest.param("full", marks=_NO_DEV_FULL), "closed"])
+def test_scan_to_its_file_needs_no_stdout(tmp_path, stdout):
+    out = tmp_path / "rows.csv"
+    code, err = _run_without_stdout(["scan", "--from", "2", "--to", "5", "--out", str(out)],
+                                    stdout)
+    assert (code, err) == (0, b"")
+    assert out.read_text().splitlines() == [cli._CSV_HEADER] + [
+        cli._csv_row(rec) for rec in analysis.scan(2, 5)]

@@ -278,9 +278,16 @@ def _scalar_decomposition(x):
 
 
 def _at_switch(test):
-    """Add examples of _HORNER_BYTES - 1, _HORNER_BYTES and _HORNER_BYTES + 1
-    bytes, where the scan changes from Horner's rule to _assemble: the
-    lowest, the highest and a random N of each length."""
+    """Add examples at both switches of _run's summing paths.
+
+    2^16 - 1, 2^16 and 2^16 + 1, where the scanned value leaves the
+    two-lookup path for Horner's rule, and 2^17 - 1, 2^17 and 2^17 + 1,
+    where the decomposition's scanned x >> 1 does.  Then _HORNER_BYTES - 1,
+    _HORNER_BYTES and _HORNER_BYTES + 1 bytes, where the scan changes from
+    Horner's rule to _assemble: the lowest, the highest and a random N of
+    each length."""
+    for N in (2 ** 16 - 1, 2 ** 16, 2 ** 16 + 1, 2 ** 17 - 1, 2 ** 17, 2 ** 17 + 1):
+        test = example(N)(test)
     rng = random.Random(core._HORNER_BYTES)
     for n in (core._HORNER_BYTES - 1, core._HORNER_BYTES, core._HORNER_BYTES + 1):
         for N in (1 << 8 * n - 8, (1 << 8 * n) - 1, rng.getrandbits(8 * n) | 1 << 8 * n - 1):
@@ -321,10 +328,13 @@ def test_crossover_boundary(bits):
 
 
 def test_digit_scan_small_exhaustive():
-    pref = brute.prefix(3, 0, 1024)
-    for N in range(1025):
+    # the whole domain of the two-lookup path, a scanned value below 2^16, and
+    # one past it: the recursion scans N, the decomposition x >> 1
+    pref = brute.prefix(3, 0, 2 ** 17 + 2)
+    for N in range(2 ** 16 + 2):
         assert _fast_recursive(N) == pref[N], N
-        assert _fast_decomposition(N) == pref[N], N
+    for x in range(2 ** 17 + 2):
+        assert _fast_decomposition(x) == pref[x], x
 
 
 def test_horner_and_assemble_paths_agree(monkeypatch):
@@ -385,6 +395,9 @@ def test_byte_table_matches_digit_walk(step, states):
     assert (next_state.typecode, out.typecode) == ("H", "b")
     assert next_state.tolist() == want_state
     assert out.tolist() == want_out
+    # _run's two-lookup path reads an x < 2^8 as a zero top byte, which must
+    # output 0 and stay in state 0
+    assert next_state[0] == out[0] == 0
 
 
 def test_byte_table_build_peaks_small():
@@ -402,15 +415,16 @@ def test_byte_table_build_peaks_small():
 
 
 def test_byte_tables_built_once_per_evaluator(monkeypatch):
-    # every size of N, both summing paths of _run included (the Horner limit
-    # falls between 224 and 225 bytes of the scanned x), shares one pair of
-    # tables per step function
+    # every size of N, the three summing paths of _run included (two lookups
+    # below 2^16, Horner's rule up to 224 bytes and _assemble from 225 bytes
+    # of the scanned x), shares one pair of tables per step function
     builds = []
     real = core._step_table
     monkeypatch.setattr(core, "_step_table", lambda step: builds.append(step) or real(step))
     monkeypatch.setattr(core, "_TABLES", {})
     rng = random.Random(28)
-    for bits in [0, 1, 2, 7, 8, 9, *range(8 * 223 - 1, 8 * 225 + 3), 2 ** 12, 2 ** 14]:
+    for bits in [0, 1, 2, 7, 8, 9, 15, 16, 17,
+                 *range(8 * 223 - 1, 8 * 225 + 3), 2 ** 12, 2 ** 14]:
         N = rng.getrandbits(bits) | 1 << bits >> 1
         assert core.newman_sum_decomposition(N) == core.newman_sum_recursive(N), bits
         for l in (0, 1, 2):
