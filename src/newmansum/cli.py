@@ -15,8 +15,10 @@ import errno
 import os
 import sys
 import tempfile
+from array import array
 from collections import deque
 from decimal import Decimal
+from itertools import tee
 
 from . import analysis, core, oracle, verify
 
@@ -27,6 +29,14 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(64, f"{self.prog}: error: {message}\n")
+
+
+def _error(message: str) -> None:
+    """Write ``error: message`` to stderr.  A failed write, or a stderr
+    closed at start (None), is ignored, as argparse ignores it, so that the
+    command keeps its own exit code."""
+    with contextlib.suppress(AttributeError, OSError):
+        sys.stderr.write(f"error: {message}\n")
 
 
 @contextlib.contextmanager
@@ -132,28 +142,33 @@ def _write_recursion_trace(N: int, total_text: str) -> None:
                   f"{'+' if c >= 0 else '-'} {abs(c)}\n")
             n_text = quarter_text
         # S(N) = sum of 3^k * c(N >> 2k), written from the top level down
-        weighted = [(c, k) for k, c in enumerate(corrections) if c][::-1]
-        _write_sum_line(_scaled_powers_of_3(weighted), total_text)
+        top = len(corrections) - 1
+        _write_sum_line(_scaled_powers_of_3(
+            (c, top - i) for i, c in enumerate(reversed(corrections)) if c), total_text)
 
 
 def _write_decomposition_trace(N: int, total_text: str) -> None:
     write = sys.stdout.write
-    terms = core.decomposition_terms(N)
+    # each term line is written as its term is made; the sum line reads the
+    # terms' (c, j) back from two arrays, 9 bytes a term
+    coefficients, exponents = array("b"), array("q")
+    terms, pairs = tee(core._decomposition_terms(N))
     with _exact_decimal():
-        values = _scaled_powers_of_3((c, j) for _, c, j in terms)
-        for (desc, _, _), value in zip(terms, values):
+        values = _scaled_powers_of_3((c, j) for _, c, j in pairs)
+        for (desc, c, j), value in zip(terms, values):
             write(f"{desc} = {value}\n")
-        _write_sum_line(_scaled_powers_of_3((c, j) for _, c, j in terms), total_text)
+            coefficients.append(c)
+            exponents.append(j)
+        _write_sum_line(_scaled_powers_of_3(zip(coefficients, exponents)), total_text)
 
 
 def _cmd_eval(args) -> int:
     N = args.number
     if args.trace and args.algorithm == "oracle":
-        print("error: --trace needs --algorithm decomposition or recursive",
-              file=sys.stderr)
+        _error("--trace needs --algorithm decomposition or recursive")
         return 64
     if args.trace and args.residue != 0:
-        print("error: --trace is only available for residue 0", file=sys.stderr)
+        _error("--trace is only available for residue 0")
         return 64
 
     if args.algorithm == "oracle":
@@ -196,7 +211,7 @@ def _csv_row(rec) -> str:
 
 def _cmd_scan(args) -> int:
     if not 1 <= args.start < args.stop:
-        print("error: need 1 <= --from < --to", file=sys.stderr)
+        _error("need 1 <= --from < --to")
         return 64
     out = os.path.abspath(args.out)
     tmp = None
@@ -211,7 +226,7 @@ def _cmd_scan(args) -> int:
         tmp = None
     except OSError as exc:
         # named by the path given, not the temporary file's random name
-        print(f"error: {args.out}: {exc.strerror or exc}", file=sys.stderr)
+        _error(f"{args.out}: {exc.strerror or exc}")
         return 2
     finally:
         if tmp is not None and os.path.exists(tmp):
@@ -221,7 +236,7 @@ def _cmd_scan(args) -> int:
 
 def _cmd_bounds(args) -> int:
     if args.max < 2:
-        print("error: --max must be >= 2", file=sys.stderr)
+        _error("--max must be >= 2")
         return 64
     rep = verify.bounds_sweep(args.max)
     print(f"scanned N in [1, {args.max}]")
@@ -325,7 +340,7 @@ def main(argv=None) -> int:
         try:
             return args.func(args)
         except (oracle.OracleCapError, analysis.PrecisionCapError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
+            _error(str(exc))
             return 2
 
 
@@ -357,7 +372,6 @@ def run() -> None:
         if not closed:
             os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         if not isinstance(exc, BrokenPipeError):
-            with contextlib.suppress(OSError):
-                print(f"error: stdout: {exc.strerror or exc}", file=sys.stderr)
+            _error(f"stdout: {exc.strerror or exc}")
         code = 2
     sys.exit(code)

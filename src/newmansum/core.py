@@ -26,11 +26,14 @@ one of three paths.  An x below 2^16 takes two table lookups and no loop:
 it is read as two bytes, the top one zero for x < 2^8, which is sound
 because a zero byte read in the start state outputs 0 and stays there.  An
 x of at most ``_HORNER_BYTES`` bytes has its digits summed by Horner's rule
-in the pass; a longer x has them summed by divide and conquer
+in the pass.  A longer x, padded on top with zero bytes by the same rule,
+is read four bytes a step into one radix-81^4 digit per step, a list a
+quarter as long as its bytes, whose digits are summed by divide and conquer
 (``_assemble``), so its cost is bounded by big-integer multiplication.
 ``decomposition_terms`` and ``recursion_trace`` run the same transducer
-steps one digit or one set bit at a time and return its small outputs, the
-terms c * 3^j, for display.
+steps one set bit or one digit at a time and return its small outputs, the
+terms c * 3^j, for display; the decomposition's terms are made one at a
+time, so that a trace can write each and drop it.
 
 Sums over the other residue classes mod 3, mod 6 and mod 3*2^m reduce to
 S_{3,0} by fixed linear combinations and are exposed as ``residue_sum``,
@@ -195,22 +198,31 @@ def decomposition_terms(x: int) -> list:
     """The terms summed by ``newman_sum_decomposition``, in processing
     order (descending bits): one (description, c, j) per set bit, where
     the term is c * 3^j with c in -2..2."""
-    x = _at_least(x, 0, "decomposition_terms needs x")
-    terms = []
+    return list(_decomposition_terms(_at_least(x, 0, "decomposition_terms needs x")))
+
+
+def _decomposition_terms(x):
+    # decomposition_terms of an int x >= 0, made one set bit at a time as
+    # format(x, "b") is walked, so that a caller can write each term and drop it
+    top = x.bit_length() - 1
     t = 0
-    for k in bit_exponents(x):
+    first = True
+    for i, bit in enumerate(format(x, "b")):
+        if bit == "0":
+            continue
+        k = top - i
         if k == 0:
             # through Decimal, which has no int->str length limit
-            desc = f"S([{Decimal(x - 1)},{Decimal(x)}))" if terms else "S(2^0)"
-            terms.append((desc, _boundary(x), 0))
-            break
+            desc = "S(2^0)" if first else f"S([{Decimal(x - 1)},{Decimal(x)}))"
+            yield desc, _boundary(x), 0
+            return
         sign, form, parity = _REDUCTION_TABLE[t]
-        s = "" if not terms else "+" if sign > 0 else "-"
+        s = "" if first else "+" if sign > 0 else "-"
         desc = (f"{s}S(2^{k})" if form == "power"
                 else f"{s}S([2^n,2^n+2^{k})) n {parity}")
         c, t = _bit_term(t, k)
-        terms.append((desc, c, (k - 1) // 2))
-    return terms
+        first = False
+        yield desc, c, (k - 1) // 2
 
 
 # Correction term of the divide-by-four recursion, keyed by N mod 24, with
@@ -335,30 +347,34 @@ def scaled_residue_sum(m: int, k: int, r: int, n: int) -> int:
 # _byte_table extends a transducer to whole bytes, four base-4 digits at a
 # time, so one pass over the bytes of x gives the digits, four per byte as
 # one digit in radix 81 = 3^4, highest first.  _run sums them on one of
-# three paths: an x below 2^16 by two lookups from state 0, with no bytes
-# object and no loop (a zero top byte, for x < 2^8, outputs 0 and stays in
-# state 0 under both step functions); an x of at most _HORNER_BYTES bytes by
-# Horner's rule in the scan; a longer x by _assemble's pairwise merge.  This
-# replaces O(log x) steps on O(log x)-bit integers by a linear scan and, for
-# long x, a divide-and-conquer sum whose cost is bounded by big-integer
-# multiplication.
+# three paths, all resting on one rule of both step functions: a zero byte
+# read in state 0 outputs 0 and stays in state 0.  An x below 2^16 takes two
+# lookups from state 0, with no bytes object and no loop (its top byte is
+# zero for x < 2^8).  An x of at most _HORNER_BYTES bytes is summed by
+# Horner's rule in the scan.  A longer x is padded on top with zero bytes to
+# a multiple of four and read four bytes a step; each step appends one
+# radix-81^4 digit, below 2^30 in size and so a one-digit CPython int, and
+# _assemble's pairwise merge sums the list, a quarter as long as the bytes.
+# This replaces O(log x) steps on O(log x)-bit integers by a linear scan
+# and, for long x, a divide-and-conquer sum whose cost is bounded by
+# big-integer multiplication.
 
-# Bytes of x up to which _run sums its digits by Horner in the scan loop:
-# the largest size at which Horner's median time was the lower.  Medians of
-# 41 alternating in-process timings of 20 random x (2 vCPU, CPython 3.11.7;
-# five runs): Horner / _assemble took 28.5-41.3 / 32.6-47.3 us at 160
-# bytes, 34.5-37.3 / 36.7-39.1 us at 192, 41.8-54.5 / 41.9-55.0 us at 224
-# (Horner lower in four runs of five, by under 2 %) and 49.9-60.9 /
-# 48.0-49.6 us at 256 (lower in none).
-_HORNER_BYTES = 224
+# Bytes of x up to which _run sums its digits by Horner in the scan loop
+# rather than four bytes a step into _assemble.  Medians of 41 alternating
+# in-process timings of 20 random x (2 vCPU, CPython 3.11.7; five runs):
+# Horner / four-byte scan took 28.2-46.1 / 28.9-45.3 us at 144 bytes
+# (Horner lower in four runs of five), 32.1-33.4 / 31.9-33.8 us at 160
+# (three of five), 33.6-36.0 / 33.7-35.6 us at 168 (one), 36.3-38.3 /
+# 34.7-37.3 us at 176 and 40.4-44.6 / 37.9-41.2 us at 192 (none).  The two
+# are within 2 % of each other from 128 to 168 bytes.
+_HORNER_BYTES = 160
 
 
-def _assemble(digits) -> int:
-    """sum of digits[i] * 81^(n-1-i) over the n digits, highest first, by
+def _assemble(digits, base=81) -> int:
+    """sum of digits[i] * base^(n-1-i) over the n digits, highest first, by
     merging adjacent values pairwise (hi * B + lo), an odd level padded with a
-    leading 0, with B = 81 squared at each level: the cost of a few big-integer
-    products rather than one per digit."""
-    base = 81
+    leading 0, with B = base squared at each level: the cost of a few
+    big-integer products rather than one per digit."""
     while len(digits) > 1:
         if len(digits) % 2:
             digits = [0, *digits]
@@ -405,8 +421,10 @@ def _run(x: int, step) -> int:
     """sum of d_j * 81^j over the radix-81 output digits d_j of ``step``'s
     byte transducer on x, highest first as read from the top byte: by two
     table lookups for x < 2^16, by Horner in the scan for at most
-    _HORNER_BYTES bytes, else by _assemble.  The tables come from _TABLES,
-    read without a call; _byte_table builds them on a step's first scan."""
+    _HORNER_BYTES bytes, else four bytes a step, x padded on top with zero
+    bytes, into radix-81^4 digits that _assemble sums.  The tables come from
+    _TABLES, read without a call; _byte_table builds them on a step's first
+    scan."""
     try:
         next_state, out = _TABLES[step]
     except KeyError:
@@ -417,19 +435,24 @@ def _run(x: int, step) -> int:
         i = x >> 8
         return 81 * out[i] + out[next_state[i] | x & 255]
     state = value = 0
-    data = x.to_bytes((x.bit_length() + 7) // 8, "big")
-    if len(data) <= _HORNER_BYTES:
-        for byte in data:
+    n = (x.bit_length() + 7) // 8
+    if n <= _HORNER_BYTES:
+        for byte in x.to_bytes(n, "big"):
             i = state | byte
             value = 81 * value + out[i]
             state = next_state[i]
         return value
+    # x padded on top with zero bytes to a multiple of four
+    data = iter(x.to_bytes(-(-n // 4) * 4, "big"))
     digits = []
-    for byte in data:
-        i = state | byte
-        digits.append(out[i])
-        state = next_state[i]
-    return _assemble(digits)
+    for b0, b1, b2, b3 in zip(data, data, data, data):
+        i = state | b0
+        j = next_state[i] | b1
+        k = next_state[j] | b2
+        m = next_state[k] | b3
+        digits.append(531441 * out[i] + 6561 * out[j] + 81 * out[k] + out[m])
+        state = next_state[m]
+    return _assemble(digits, 81 ** 4)
 
 
 def _recursion_step(state, d):

@@ -191,7 +191,10 @@ def test_eval_trace_matches_int_rendering(algorithm, capsys):
 def test_eval_trace_memory(algorithm):
     # Each line is written as it is made, so the trace of a 2^14-bit N
     # (26 to 50 MB of text) holds no more than the terms' small
-    # coefficients and a few numbers at once.
+    # coefficients and a few numbers at once: 0.11 MiB (recursion) and
+    # 0.13 MiB (decomposition).  Holding every decomposition term with its
+    # description reads 1.67 MiB, and a list of (c, k) tuples for the
+    # recursion's sum line with a byte-a-step scan's digit list 0.53 MiB.
     def trace(N):
         return cli.main(["eval", hex(N), "--algorithm", algorithm, "--trace"])
 
@@ -204,7 +207,7 @@ def test_eval_trace_memory(algorithm):
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-    assert peak < 4 * 2 ** 20, f"{peak / 2 ** 20:.2f} MiB"
+    assert peak < 0.25 * 2 ** 20, f"{peak / 2 ** 20:.2f} MiB"
 
 
 def test_eval_trace_usage_errors(capsys):
@@ -637,7 +640,8 @@ def test_closed_stdout_during_trace_exits_2_without_traceback():
 # eta writes about 38 kB here, more than stdout's buffer, so a full device
 # fails a write inside the command, not only the flush at its end
 _STDOUT_COMMANDS = [["eval", "5"], ["eval", "5", "--trace"], ["verify", "--max", "300"],
-                    ["eta", "--max", "2001"]]
+                    ["eta", "--max", "2001"], ["bounds", "--max", "100"],
+                    ["bench", "--exponents", "4"]]
 
 _NO_DEV_FULL = pytest.mark.skipif(not os.path.exists("/dev/full"),
                                   reason="needs the /dev/full device")
@@ -683,3 +687,46 @@ def test_scan_to_its_file_needs_no_stdout(tmp_path, stdout):
     assert (code, err) == (0, b"")
     assert out.read_text().splitlines() == [cli._CSV_HEADER] + [
         cli._csv_row(rec) for rec in analysis.scan(2, 5)]
+
+
+def _run_without_stderr(argv, stderr, env=None):
+    """Run ``python -m newmansum argv`` with stderr on /dev/full (``"full"``)
+    or closed at start (``"closed"``); return (exit code, stdout)."""
+    def close_stderr():
+        os.close(2)
+
+    cmd = [sys.executable, "-m", "newmansum", *argv]
+    env = {**_package_env(), **(env or {})}
+    if stderr == "full":
+        with open("/dev/full", "w") as full:
+            proc = subprocess.run(cmd, stdout=subprocess.PIPE, stderr=full, env=env)
+    else:
+        proc = subprocess.run(cmd, stdout=subprocess.PIPE, env=env,
+                              preexec_fn=close_stderr)
+    return proc.returncode, proc.stdout
+
+
+_STDERR = [pytest.param("full", marks=_NO_DEV_FULL), "closed"]
+
+
+@pytest.mark.parametrize("stderr", _STDERR)
+@pytest.mark.parametrize("argv", [["eval", "5", "--trace", "--algorithm", "oracle"],
+                                  ["eval", "5", "--trace", "--residue", "1"],
+                                  ["scan", "--from", "5", "--to", "2", "--out", "rows.csv"],
+                                  ["bounds", "--max", "1"]], ids=" ".join)
+def test_usage_error_exits_64_without_stderr(argv, stderr):
+    # the error line cannot be written; the usage error keeps its own code
+    assert _run_without_stderr(argv, stderr) == (64, b"")
+
+
+@pytest.mark.parametrize("stderr", _STDERR)
+def test_cap_error_exits_2_without_stderr(stderr):
+    assert _run_without_stderr(["verify", "--max", "5"], stderr,
+                               {"NEWMANSUM_ORACLE_CAP": "bad"}) == (2, b"")
+
+
+@pytest.mark.parametrize("stderr", _STDERR)
+def test_scan_file_error_exits_2_without_stderr(tmp_path, stderr):
+    out = tmp_path / "missing" / "rows.csv"
+    assert _run_without_stderr(["scan", "--from", "2", "--to", "5", "--out", str(out)],
+                               stderr) == (2, b"")

@@ -284,8 +284,8 @@ def _at_switch(test):
     two-lookup path for Horner's rule, and 2^17 - 1, 2^17 and 2^17 + 1,
     where the decomposition's scanned x >> 1 does.  Then _HORNER_BYTES - 1,
     _HORNER_BYTES and _HORNER_BYTES + 1 bytes, where the scan changes from
-    Horner's rule to _assemble: the lowest, the highest and a random N of
-    each length."""
+    Horner's rule to four bytes a step: the lowest, the highest and a random
+    N of each length."""
     for N in (2 ** 16 - 1, 2 ** 16, 2 ** 16 + 1, 2 ** 17 - 1, 2 ** 17, 2 ** 17 + 1):
         test = example(N)(test)
     rng = random.Random(core._HORNER_BYTES)
@@ -337,6 +337,36 @@ def test_digit_scan_small_exhaustive():
         assert _fast_decomposition(x) == pref[x], x
 
 
+@pytest.mark.parametrize("extra", [1, 2, 3, 4])
+def test_four_byte_scan_matches_traces(extra):
+    """The first four lengths past _HORNER_BYTES, padded on top with 3, 2, 1
+    and 0 zero bytes: the lowest, the highest and random N of each, against
+    the traces, which walk the digits one at a time without the byte tables."""
+    n = core._HORNER_BYTES + extra
+    rng = random.Random(n)
+    for N in (1 << 8 * n - 8, (1 << 8 * n) - 1,
+              *(rng.getrandbits(8 * n) | 1 << 8 * n - 1 for _ in range(4))):
+        want = _horner(core.recursion_trace(N))
+        assert core.newman_sum_recursive(N) == want
+        assert core.newman_sum_decomposition(N) == want
+        assert sum(c * 3 ** j for _, c, j in core.decomposition_terms(N)) == want
+
+
+def test_recursive_sum_memory_is_a_fraction_of_n():
+    # under 32 bytes per byte of N (0.125 MiB): the four-byte scan keeps one
+    # one-digit int per 4 bytes of N and reads 0.07 MiB; one int per byte, as
+    # a scan of one byte a step keeps, reads 0.20 MiB
+    N = random.Random(2 ** 15).getrandbits(2 ** 15) | 1 << 2 ** 15 - 1
+    core.newman_sum_recursive(N)        # the tables any call fills
+    tracemalloc.start()
+    try:
+        core.newman_sum_recursive(N)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2 ** 15 // 8, f"{peak / 2 ** 20:.3f} MiB"
+
+
 def test_horner_and_assemble_paths_agree(monkeypatch):
     """Every N through Horner's rule, then every N through _assemble."""
     rng = random.Random(12)
@@ -355,6 +385,7 @@ def test_assemble():
     assert core._assemble([]) == 0
     assert core._assemble([4, 0, -1, 2]) == 4 * 81 ** 3 - 81 + 2
     assert core._assemble([5, 0, 0]) == 5 * 81 ** 2     # an odd level's padding is on top
+    assert core._assemble([3, -1, 2], 81 ** 4) == 3 * 81 ** 8 - 81 ** 4 + 2
     rng = random.Random(7)
     # odd and even lengths at every merge level of the short lists
     for n in (*range(20), 45, 1000):
@@ -416,15 +447,16 @@ def test_byte_table_build_peaks_small():
 
 def test_byte_tables_built_once_per_evaluator(monkeypatch):
     # every size of N, the three summing paths of _run included (two lookups
-    # below 2^16, Horner's rule up to 224 bytes and _assemble from 225 bytes
-    # of the scanned x), shares one pair of tables per step function
+    # below 2^16, Horner's rule up to _HORNER_BYTES bytes of the scanned x and
+    # the four-byte scan past it), shares one pair of tables per step function
     builds = []
     real = core._step_table
     monkeypatch.setattr(core, "_step_table", lambda step: builds.append(step) or real(step))
     monkeypatch.setattr(core, "_TABLES", {})
     rng = random.Random(28)
+    horner_bits = 8 * core._HORNER_BYTES
     for bits in [0, 1, 2, 7, 8, 9, 15, 16, 17,
-                 *range(8 * 223 - 1, 8 * 225 + 3), 2 ** 12, 2 ** 14]:
+                 *range(horner_bits - 9, horner_bits + 35), 2 ** 12, 2 ** 14]:
         N = rng.getrandbits(bits) | 1 << bits >> 1
         assert core.newman_sum_decomposition(N) == core.newman_sum_recursive(N), bits
         for l in (0, 1, 2):
