@@ -30,6 +30,9 @@ in the pass.  A longer x, padded on top with zero bytes by the same rule,
 is read four bytes a step into one radix-81^4 digit per step, a list a
 quarter as long as its bytes, whose digits are summed by divide and conquer
 (``_assemble``), so its cost is bounded by big-integer multiplication.
+That merge runs on ints; for the CLI's printed value its levels from
+``_DECIMAL_BITS`` on run in exact ``Decimal``, whose text is linear in its
+length where int->str is quadratic.
 ``decomposition_terms`` and ``recursion_trace`` run the same transducer
 steps one set bit or one digit at a time and return its small outputs, the
 terms c * 3^j, for display; the decomposition's terms are made one at a
@@ -272,7 +275,10 @@ def recursion_trace(N: int) -> list:
 #     S_{3,l}(N) = sum of c_i * S_{3,0}(2^i N),
 # and row j gives
 #     S_{6,j}([2x, 2y)) = sum of c_i * S_{3,0}([2^i x, 2^i y)).
-# Every entry is nonzero, so each row costs one evaluation per entry.
+# Every entry is nonzero, so each row costs one evaluation per entry, but
+# for the recursion, whose step at 4N is S(4N) = 3*S(N) + c(4N), row 2 is
+#     S_{3,2}(N) = S(2N) - 2*S(N) - c(4N),
+# two scans.
 _RESIDUE_ROWS = ((1,), (1, -1), (1, 1, -1))
 _SIX_ROWS = ((1,), (-1,), (1, -1), (-1, 1), (1, 1, -1), (-1, 2, 1, -1))
 
@@ -285,14 +291,37 @@ def residue_sum(l: int, N: int, evaluate=newman_sum_recursive) -> int:
 
     S_{3,0} is computed by ``evaluate``, the divide-by-four recursion
     unless another evaluator such as ``newman_sum_decomposition`` is given.
+    The recursion takes S_{3,2} from S(N) and S(2N) alone, its own step
+    giving S(4N) = 3*S(N) + c(4N).
     """
     l, N = index(l), _at_least(N, 0, "residue_sum needs N")
     if l not in (0, 1, 2):
         raise ValueError("residue must be 0, 1 or 2")
+    if evaluate is newman_sum_recursive:
+        return _residue(l, N, _recursion_step)
     total = 0
     for c in _RESIDUE_ROWS[l]:
         total += c * evaluate(N)
         N <<= 1
+    return total
+
+
+def _residue(l, N, step, exact=False):
+    """residue_sum(l, N) of an int N >= 0 and l in 0..2 by ``step``'s digit
+    scans, with the recursion's two-scan row 2; exact as in _run.  Each
+    2^i N is made as its scan's argument, so that no two are held at once."""
+    if step is _recursion_step:
+        if l == 2:
+            c = _CORRECTION[4 * N % 24]     # c(4N): 4N has the binary ones of N
+            return (_run(2 * N, step, exact) - 2 * _run(N, step, exact)
+                    - (-c if N.bit_count() & 1 else c))
+        shift = total = 0
+    else:
+        # the decomposition scans x >> 1 and closes an odd x with its boundary
+        # term; of the 2^i N only N can be odd, and every row starts with 1
+        shift, total = 1, _boundary(N) if N & 1 else 0
+    for i, c in enumerate(_RESIDUE_ROWS[l]):
+        total += c * _run(N << i >> shift, step, exact)
     return total
 
 
@@ -357,7 +386,10 @@ def scaled_residue_sum(m: int, k: int, r: int, n: int) -> int:
 # _assemble's pairwise merge sums the list, a quarter as long as the bytes.
 # This replaces O(log x) steps on O(log x)-bit integers by a linear scan
 # and, for long x, a divide-and-conquer sum whose cost is bounded by
-# big-integer multiplication.
+# big-integer multiplication.  The merge's levels run on ints, and with
+# _run's exact flag, from the first level whose base has _DECIMAL_BITS bits
+# on, in exact Decimal: the CLI prints that Decimal, whose str() is linear
+# in its length, where CPython 3.11's int->str is quadratic.
 
 # Bytes of x up to which _run sums its digits by Horner in the scan loop
 # rather than four bytes a step into _assemble.  Medians of 41 alternating
@@ -369,13 +401,30 @@ def scaled_residue_sum(m: int, k: int, r: int, n: int) -> int:
 # are within 2 % of each other from 128 to 168 bytes.
 _HORNER_BYTES = 160
 
+# Bits of the merge base from which _assemble's exact levels run in Decimal.
+# The sixth level of every long x has a base of 81^128, 811 bits, so each
+# exact merge ends in a Decimal.  Medians of alternating timings of _run and
+# str() of its sum at 2 random x (41 rounds at 2^15 bits, 7 at 2^18, 5 at
+# 2^20; 2 vCPU, CPython 3.11.7), switching at 256 / 512 / 1024 / 2048 bits:
+# 1.77 / 1.76 / 1.79 / 1.85 ms at 2^15 bits, 19.8 / 19.4 / 18.9 / 19.9 ms at
+# 2^18 and 106 / 98 / 104 / 110 ms at 2^20; the int merge with str() took
+# 2.02, 81 and 1220 ms.  Decimal(int) is quadratic, and a switch at the first
+# level took 1.93, 20.9 and 117 ms, its tracemalloc peak at 2^15 bits 210 KiB
+# against 75 KiB.
+_DECIMAL_BITS = 512
 
-def _assemble(digits, base=81) -> int:
+
+def _assemble(digits, base=81, exact=False) -> int:
     """sum of digits[i] * base^(n-1-i) over the n digits, highest first, by
     merging adjacent values pairwise (hi * B + lo), an odd level padded with a
     leading 0, with B = base squared at each level: the cost of a few
-    big-integer products rather than one per digit."""
+    big-integer products rather than one per digit.  With exact, the levels
+    from the first whose B has _DECIMAL_BITS bits merge Decimal values, and
+    the sum is a Decimal if one is reached; that needs an exact decimal
+    context."""
     while len(digits) > 1:
+        if exact and base.bit_length() >= _DECIMAL_BITS:
+            digits, base, exact = [*map(Decimal, digits)], Decimal(base), False
         if len(digits) % 2:
             digits = [0, *digits]
         pairs = iter(digits)
@@ -417,14 +466,14 @@ def _byte_table(step) -> tuple:
     return tables
 
 
-def _run(x: int, step) -> int:
+def _run(x: int, step, exact=False) -> int:
     """sum of d_j * 81^j over the radix-81 output digits d_j of ``step``'s
     byte transducer on x, highest first as read from the top byte: by two
     table lookups for x < 2^16, by Horner in the scan for at most
     _HORNER_BYTES bytes, else four bytes a step, x padded on top with zero
-    bytes, into radix-81^4 digits that _assemble sums.  The tables come from
-    _TABLES, read without a call; _byte_table builds them on a step's first
-    scan."""
+    bytes, into radix-81^4 digits that _assemble sums, to a Decimal with
+    exact.  The tables come from _TABLES, read without a call; _byte_table
+    builds them on a step's first scan."""
     try:
         next_state, out = _TABLES[step]
     except KeyError:
@@ -452,7 +501,7 @@ def _run(x: int, step) -> int:
         m = next_state[k] | b3
         digits.append(531441 * out[i] + 6561 * out[j] + 81 * out[k] + out[m])
         state = next_state[m]
-    return _assemble(digits, 81 ** 4)
+    return _assemble(digits, 81 ** 4, exact)
 
 
 def _recursion_step(state, d):

@@ -1,7 +1,9 @@
+import argparse
 import contextlib
 import errno
 import os
 import random
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -9,6 +11,7 @@ from decimal import Decimal
 
 import pytest
 
+import digit_dp
 import newmansum
 import walks
 from newmansum import analysis, cli, core, oracle
@@ -81,6 +84,44 @@ def test_eval_accepts_decimal_past_str_limit(capsys):
     code, out_hex, _ = invoke(["eval", hex(N)], capsys)
     assert code == 0
     assert out_decimal == out_hex
+
+
+def _digit_texts(n, rng):
+    # n-digit texts: the lowest, the highest, a random one and one that is
+    # mostly leading zeros
+    return ("1" + "0" * (n - 1), "9" * n, str(Decimal(rng.randrange(10 ** (n - 1), 10 ** n))),
+            "0" * (n - 3) + "407")
+
+
+@pytest.mark.parametrize("offset", [-1, 0, 1])
+def test_decimal_parse_at_the_split(offset):
+    n = cli._SPLIT_DIGITS + offset
+    for text in _digit_texts(n, random.Random(n)):
+        assert cli._natural(text) == int(text)
+
+
+def test_decimal_parse_by_halves_at_several_depths():
+    d = cli._SPLIT_DIGITS
+    rng = random.Random(d)
+    with cli._any_length_ints():
+        for n in (2 * d, 2 * d + 1, 4 * d - 1, 4 * d + 1, 9 * d + 7, 30011):
+            for text in _digit_texts(n, rng):
+                assert cli._by_halves(text) == int(text), n
+                assert cli._natural(f" {text}\n") == int(text), n
+
+
+def test_long_decimal_text_parses_as_int_reads_it(capsys):
+    # past the split, text that is not all ASCII digits goes to int(), which
+    # takes signs, single underscores between digits and other Unicode digits
+    d = cli._SPLIT_DIGITS
+    with cli._any_length_ints():
+        for text in ("+" + "7" * d, "1_" * d + "1", "\u0663" * (d + 1)):
+            assert cli._natural(text) == int(text)
+        for text in ("7" * d + "x", "7" * d + " " + "7" * d, "7" * d + "_",
+                     "1__" + "7" * d, "-" + "7" * (d + 5), "7" * d + "\u00b2"):
+            with pytest.raises(argparse.ArgumentTypeError):
+                cli._natural(text)
+            assert invoke(["eval", text], capsys)[0] == 64
 
 
 def test_eval_residues(capsys):
@@ -208,6 +249,81 @@ def test_eval_trace_memory(algorithm):
         finally:
             tracemalloc.stop()
     assert peak < 0.25 * 2 ** 20, f"{peak / 2 ** 20:.2f} MiB"
+
+
+def _eval_matches_digit_dp(N, capsys):
+    """eval N's stdout for both algorithms and residues 0 to 2, and the
+    value line and sum line of both traces, against the digit DP."""
+    want = digit_dp.sums(3, N)
+    for algorithm in ("recursive", "decomposition"):
+        for residue in (0, 1, 2):
+            code, out, err = invoke(["eval", hex(N), "--algorithm", algorithm,
+                                     "--residue", str(residue)], capsys)
+            assert (code, out, err) == (0, f"{want[residue]}\n", ""), (N, algorithm, residue)
+        code, out, err = invoke(["eval", hex(N), "--algorithm", algorithm, "--trace"], capsys)
+        lines = out.splitlines()
+        terms, _, total = lines[-1].rpartition("=")
+        assert (code, err, lines[0], total) == (0, "", str(want[0]), str(want[0]))
+        assert sum(int(t) for t in re.findall(r"[+-]?\d+", terms)) == want[0]
+
+
+@pytest.mark.parametrize("extra", [1, 2, 3, 4])
+def test_eval_past_the_horner_switch(extra, capsys):
+    # the four paddings of the four-byte scan: the lowest, the highest and a
+    # random N of _HORNER_BYTES + 1 to + 4 bytes
+    n = core._HORNER_BYTES + extra
+    for N in (1 << 8 * n - 8, (1 << 8 * n) - 1,
+              random.Random(n).getrandbits(8 * n) | 1 << 8 * n - 1):
+        _eval_matches_digit_dp(N, capsys)
+
+
+@pytest.mark.parametrize("offset", [-1, 0, 1])
+def test_eval_at_the_decimal_switch(offset, capsys, monkeypatch):
+    """N whose merge ends one level below the first Decimal level, at it and
+    one above it.  Every N of 2^16 and more takes the four-byte scan here, so
+    that the level below, which no N past _HORNER_BYTES ends at, is reached."""
+    monkeypatch.setattr(core, "_HORNER_BYTES", 0)
+    base = 81 ** 4
+    top = offset + next(level for level in range(20)
+                        if (base ** (1 << level)).bit_length() >= core._DECIMAL_BITS)
+    # w radix-81^4 words merge through levels 0 .. (w - 1).bit_length() - 1;
+    # these N and the decomposition's scanned N >> 1 both have w words
+    for w in ((1 << top) + 1, 1 << top + 1):
+        for N in (1 << 32 * (w - 1) + 1, (1 << 32 * w) - 1,
+                  random.Random(w).getrandbits(32 * w) | 1 << 32 * w - 1):
+            with cli._exact_decimal():
+                value = core._run(N, core._recursion_step, True)
+            assert isinstance(value, Decimal) == (offset >= 0)
+            _eval_matches_digit_dp(N, capsys)
+
+
+@pytest.mark.parametrize("bits", [2 ** 18, 2 ** 20])
+def test_eval_prints_str_of_the_value(bits, capsys):
+    # the printed Decimal against CPython's own int->str, its limit lifted here
+    N = random.Random(bits).getrandbits(bits) | 1 << bits - 1
+    code, out, err = invoke(["eval", hex(N)], capsys)
+    with cli._any_length_ints():
+        want = str(core.newman_sum_recursive(N))
+    assert (code, err) == (0, "")
+    assert out == want + "\n"
+
+
+@pytest.mark.parametrize("algorithm, parent_kib", [("recursive", 88), ("decomposition", 92)])
+def test_eval_residue_two_memory(algorithm, parent_kib):
+    # tracemalloc peaks at a 2^15-bit N: 87.9 and 92.1 KiB before the
+    # Decimal merge levels, 84.8 and 88.2 KiB with them; with the Decimal
+    # merges from the first level on, 220 and 223 KiB
+    N = random.Random(2 ** 15).getrandbits(2 ** 15) | 1 << 2 ** 15 - 1
+    argv = ["eval", hex(N), "--algorithm", algorithm, "--residue", "2"]
+    with open(os.devnull, "w") as null, contextlib.redirect_stdout(null):
+        assert cli.main(argv) == 0   # the byte tables and the parser
+        tracemalloc.start()
+        try:
+            assert cli.main(argv) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak < parent_kib * 1024, f"{peak / 1024:.1f} KiB"
 
 
 def test_eval_trace_usage_errors(capsys):

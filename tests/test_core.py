@@ -1,5 +1,6 @@
 import random
 import tracemalloc
+from decimal import Decimal
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -7,7 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 import brute
 import digit_dp
 import walks
-from newmansum import analysis, core, verify
+from newmansum import analysis, cli, core, oracle, verify
 
 
 # ---------------------------------------------------------------- digit sums
@@ -394,6 +395,28 @@ def test_assemble():
         assert core._assemble(digits) == want, n
 
 
+def test_exact_assemble_merges_in_decimal_from_its_level():
+    """With exact, the levels from the first whose base has _DECIMAL_BITS
+    bits merge Decimal values; a merge that ends below that level stays an
+    int.  Both give the int merge's value."""
+    base = 81 ** 4
+    switch = next(level for level in range(20)
+                  if (base ** (1 << level)).bit_length() >= core._DECIMAL_BITS)
+    rng = random.Random(switch)
+    with cli._exact_decimal():
+        # a list of w digits merges through levels 0 .. (w - 1).bit_length() - 1
+        for top in (switch - 1, switch, switch + 1):
+            for w in ((1 << top) + 1, 3 << top >> 1, 1 << top + 1):
+                digits = [rng.randint(-43046720, 43046720) for _ in range(w)]
+                want = sum(d * base ** i for i, d in enumerate(reversed(digits)))
+                value = core._assemble(digits, base, True)
+                assert isinstance(value, Decimal) == (top >= switch), (top, w)
+                assert value == want, (top, w)
+                assert core._assemble(digits, base) == want
+        assert core._assemble([], base, True) == 0
+        assert core._assemble([-7], base, True) == -7
+
+
 def test_fast_paths_at_2_16_bits():
     # 2^16 bits: 8192 digits halve evenly to one; 5461 bytes: the digit count
     # is odd at seven merge levels
@@ -488,6 +511,17 @@ def test_residue_sum_vs_brute():
             assert core.residue_sum(l, N) == pref[N], (l, N)
             assert core.residue_sum(l, N, evaluate=core.newman_sum_decomposition) \
                 == pref[N], (l, N)
+
+
+def test_residue_two_by_the_recursion_at_4n():
+    """S_{3,2}(N) = S(2N) - 2*S(N) - c(4N), the row the recursion takes, from
+    the oracle's S_{3,0} and S_{3,2} at every N < 5000."""
+    S0 = oracle.oracle_prefix(3, 0, 2 * 5000)
+    S2 = oracle.oracle_prefix(3, 2, 5000)
+    for N in range(5000):
+        c = core.recursion_correction(4 * N) if N else 0
+        assert S2[N] == S0[2 * N] - 2 * S0[N] - c, N
+        assert core.residue_sum(2, N) == S2[N], N
 
 
 def test_six_residue_examples():
