@@ -53,35 +53,6 @@ def _any_length_ints():
         sys.set_int_max_str_digits(saved)
 
 
-# Digits past which _natural parses decimal text by halves, the parts of at
-# most this many digits going to int().  Medians of 21 alternating timings
-# of 3 random texts (5 at 315 653 digits, a 2^20-bit N; 2 vCPU, CPython
-# 3.11.7), int() / halves down to 1000, 2000, 4000 digits: 0.088 / 0.088,
-# 0.087, 0.086 ms at 4000 digits; 0.34 / 0.28, 0.28, 0.30 ms at 8000; 9.1 /
-# 4.6, 4.7, 4.7 ms at 40 000; 731 / 127, 138, 118 ms at 315 653.
-_SPLIT_DIGITS = 2000
-
-
-def _by_halves(s: str) -> int:
-    """int(s) of more than _SPLIT_DIGITS ASCII digits: the low
-    _SPLIT_DIGITS * 2^i digits split off below the length, parsed so in turn,
-    and joined as hi * 10^(_SPLIT_DIGITS * 2^i) + lo, with the powers of ten
-    squared up once per call; int() alone is quadratic in the length."""
-    powers = [10 ** _SPLIT_DIGITS]
-    while _SPLIT_DIGITS << len(powers) < len(s):
-        powers.append(powers[-1] * powers[-1])
-
-    def parse(start, stop, i):
-        if stop - start <= _SPLIT_DIGITS:
-            return int(s[start:stop])
-        while _SPLIT_DIGITS << i >= stop - start:
-            i -= 1
-        mid = stop - (_SPLIT_DIGITS << i)
-        return parse(start, mid, i) * powers[i] + parse(mid, stop, i)
-
-    return parse(0, len(s), len(powers) - 1)
-
-
 def _natural(text: str) -> int:
     s = text.strip().lower()
     try:
@@ -89,10 +60,7 @@ def _natural(text: str) -> int:
             value = int(s[2:], 16)
         elif s.startswith("0b"):
             value = int(s[2:], 2)
-        elif len(s) > _SPLIT_DIGITS and s.isascii() and s.isdigit():
-            value = _by_halves(s)
         else:
-            # signs, underscores and non-ASCII digits parse as int() reads them
             value = int(s, 10)
     except ValueError:
         raise argparse.ArgumentTypeError(f"not a natural number: {text!r}")
@@ -160,22 +128,22 @@ def _write_sum_line(terms, total_text: str) -> None:
     write(f"={total_text}\n")
 
 
-# Both traces are written in _cmd_eval's exact decimal context.
 def _write_recursion_trace(N: int, total_text: str) -> None:
     write = sys.stdout.write
     corrections = core.recursion_trace(N)
-    n = Decimal(N)
-    n_text = str(n)
-    for c in corrections:
-        n //= 4
-        quarter_text = str(n)
-        write(f"S({n_text}) = 3*S({quarter_text}) "
-              f"{'+' if c >= 0 else '-'} {abs(c)}\n")
-        n_text = quarter_text
-    # S(N) = sum of 3^k * c(N >> 2k), written from the top level down
-    top = len(corrections) - 1
-    _write_sum_line(_scaled_powers_of_3(
-        (c, top - i) for i, c in enumerate(reversed(corrections)) if c), total_text)
+    with _exact_decimal():
+        n = Decimal(N)
+        n_text = str(n)
+        for c in corrections:
+            n //= 4
+            quarter_text = str(n)
+            write(f"S({n_text}) = 3*S({quarter_text}) "
+                  f"{'+' if c >= 0 else '-'} {abs(c)}\n")
+            n_text = quarter_text
+        # S(N) = sum of 3^k * c(N >> 2k), written from the top level down
+        top = len(corrections) - 1
+        _write_sum_line(_scaled_powers_of_3(
+            (c, top - i) for i, c in enumerate(reversed(corrections)) if c), total_text)
 
 
 def _write_decomposition_trace(N: int, total_text: str) -> None:
@@ -185,12 +153,13 @@ def _write_decomposition_trace(N: int, total_text: str) -> None:
     # values come from those arrays too, each (c, j) read just after it is
     # appended: an array's iterator reads the items appended since it began.
     coefficients, exponents = array("b"), array("q")
-    values = _scaled_powers_of_3(zip(coefficients, exponents))
-    for desc, c, j in core._decomposition_terms(N):
-        coefficients.append(c)
-        exponents.append(j)
-        write(f"{desc} = {next(values)}\n")
-    _write_sum_line(_scaled_powers_of_3(zip(coefficients, exponents)), total_text)
+    with _exact_decimal():
+        values = _scaled_powers_of_3(zip(coefficients, exponents))
+        for desc, c, j in core._decomposition_terms(N):
+            coefficients.append(c)
+            exponents.append(j)
+            write(f"{desc} = {next(values)}\n")
+        _write_sum_line(_scaled_powers_of_3(zip(coefficients, exponents)), total_text)
 
 
 def _cmd_eval(args) -> int:
@@ -202,21 +171,22 @@ def _cmd_eval(args) -> int:
         _error("--trace is only available for residue 0")
         return 64
 
-    with _exact_decimal():
-        if args.algorithm == "oracle":
-            value = oracle.oracle_sum(3, args.residue, N)
-        else:
-            # a long N's value is a Decimal, never an int turned into text
-            step = (core._decomposition_step if args.algorithm == "decomposition"
-                    else core._recursion_step)
+    if args.algorithm == "oracle":
+        value = oracle.oracle_sum(3, args.residue, N)
+    else:
+        # a long N's value is a Decimal, never an int turned into text
+        step = (core._decomposition_step if args.algorithm == "decomposition"
+                else core._recursion_step)
+        with _exact_decimal():
             value = core._residue(args.residue, N, step, exact=True)
-        value_text = str(value)
-        print(value_text)
-        if args.trace:
-            if args.algorithm == "decomposition":
-                _write_decomposition_trace(N, value_text)
-            else:
-                _write_recursion_trace(N, value_text)
+
+    value_text = str(value)
+    print(value_text)
+    if args.trace:
+        if args.algorithm == "decomposition":
+            _write_decomposition_trace(N, value_text)
+        else:
+            _write_recursion_trace(N, value_text)
     return 0
 
 

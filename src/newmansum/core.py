@@ -283,6 +283,11 @@ _RESIDUE_ROWS = ((1,), (1, -1), (1, 1, -1))
 _SIX_ROWS = ((1,), (-1,), (1, -1), (-1, 1), (1, 1, -1), (-1, 2, 1, -1))
 
 
+# residue_sum's two evaluators, taken at load so that a caller who rebinds
+# the public names (a test's cache, say) changes no residue path
+_RECURSIVE, _DECOMPOSITION = newman_sum_recursive, newman_sum_decomposition
+
+
 def residue_sum(l: int, N: int, evaluate=newman_sum_recursive) -> int:
     """S_{3,l}(N) for l in {0, 1, 2}, via S_{3,0} at N, 2N and 4N:
 
@@ -291,14 +296,17 @@ def residue_sum(l: int, N: int, evaluate=newman_sum_recursive) -> int:
 
     S_{3,0} is computed by ``evaluate``, the divide-by-four recursion
     unless another evaluator such as ``newman_sum_decomposition`` is given.
-    The recursion takes S_{3,2} from S(N) and S(2N) alone, its own step
-    giving S(4N) = 3*S(N) + c(4N).
+    Either of those two is run as its own digit scans, the recursion
+    taking S_{3,2} from S(N) and S(2N) alone, its step giving
+    S(4N) = 3*S(N) + c(4N); any other evaluator is called once per row entry.
     """
     l, N = index(l), _at_least(N, 0, "residue_sum needs N")
     if l not in (0, 1, 2):
         raise ValueError("residue must be 0, 1 or 2")
-    if evaluate is newman_sum_recursive:
+    if evaluate is _RECURSIVE:
         return _residue(l, N, _recursion_step)
+    if evaluate is _DECOMPOSITION:
+        return _residue(l, N, _decomposition_step)
     total = 0
     for c in _RESIDUE_ROWS[l]:
         total += c * evaluate(N)
@@ -308,20 +316,21 @@ def residue_sum(l: int, N: int, evaluate=newman_sum_recursive) -> int:
 
 def _residue(l, N, step, exact=False):
     """residue_sum(l, N) of an int N >= 0 and l in 0..2 by ``step``'s digit
-    scans, with the recursion's two-scan row 2; exact as in _run.  Each
-    2^i N is made as its scan's argument, so that no two are held at once."""
+    scans, with the recursion's two-scan row 2; with exact, each scan by
+    _exact_run.  Each 2^i N is made as its scan's argument, so that no two
+    are held at once."""
+    run = _exact_run if exact else _run
     if step is _recursion_step:
         if l == 2:
             c = _CORRECTION[4 * N % 24]     # c(4N): 4N has the binary ones of N
-            return (_run(2 * N, step, exact) - 2 * _run(N, step, exact)
-                    - (-c if N.bit_count() & 1 else c))
+            return run(2 * N, step) - 2 * run(N, step) - (-c if N.bit_count() & 1 else c)
         shift = total = 0
     else:
         # the decomposition scans x >> 1 and closes an odd x with its boundary
         # term; of the 2^i N only N can be odd, and every row starts with 1
         shift, total = 1, _boundary(N) if N & 1 else 0
     for i, c in enumerate(_RESIDUE_ROWS[l]):
-        total += c * _run(N << i >> shift, step, exact)
+        total += c * run(N << i >> shift, step)
     return total
 
 
@@ -386,10 +395,11 @@ def scaled_residue_sum(m: int, k: int, r: int, n: int) -> int:
 # _assemble's pairwise merge sums the list, a quarter as long as the bytes.
 # This replaces O(log x) steps on O(log x)-bit integers by a linear scan
 # and, for long x, a divide-and-conquer sum whose cost is bounded by
-# big-integer multiplication.  The merge's levels run on ints, and with
-# _run's exact flag, from the first level whose base has _DECIMAL_BITS bits
-# on, in exact Decimal: the CLI prints that Decimal, whose str() is linear
-# in its length, where CPython 3.11's int->str is quadratic.
+# big-integer multiplication.  The merge's levels run on ints; _exact_run,
+# the CLI's scan, runs them from the first level whose base has
+# _DECIMAL_BITS bits on in exact Decimal, and the CLI prints that Decimal,
+# whose str() is linear in its length, where CPython 3.11's int->str is
+# quadratic.
 
 # Bytes of x up to which _run sums its digits by Horner in the scan loop
 # rather than four bytes a step into _assemble.  Medians of 41 alternating
@@ -403,14 +413,14 @@ _HORNER_BYTES = 160
 
 # Bits of the merge base from which _assemble's exact levels run in Decimal.
 # The sixth level of every long x has a base of 81^128, 811 bits, so each
-# exact merge ends in a Decimal.  Medians of alternating timings of _run and
-# str() of its sum at 2 random x (41 rounds at 2^15 bits, 7 at 2^18, 5 at
-# 2^20; 2 vCPU, CPython 3.11.7), switching at 256 / 512 / 1024 / 2048 bits:
-# 1.77 / 1.76 / 1.79 / 1.85 ms at 2^15 bits, 19.8 / 19.4 / 18.9 / 19.9 ms at
-# 2^18 and 106 / 98 / 104 / 110 ms at 2^20; the int merge with str() took
-# 2.02, 81 and 1220 ms.  Decimal(int) is quadratic, and a switch at the first
-# level took 1.93, 20.9 and 117 ms, its tracemalloc peak at 2^15 bits 210 KiB
-# against 75 KiB.
+# exact merge ends in a Decimal.  Medians of alternating timings of the
+# exact scan and str() of its sum at 2 random x (41 rounds at 2^15 bits, 7
+# at 2^18, 5 at 2^20; 2 vCPU, CPython 3.11.7), switching at 256 / 512 /
+# 1024 / 2048 bits: 1.77 / 1.76 / 1.79 / 1.85 ms at 2^15 bits, 19.8 / 19.4
+# / 18.9 / 19.9 ms at 2^18 and 106 / 98 / 104 / 110 ms at 2^20; the int
+# merge with str() took 2.02, 81 and 1220 ms.  Decimal(int) is quadratic,
+# and a switch at the first level took 1.93, 20.9 and 117 ms, its
+# tracemalloc peak at 2^15 bits 210 KiB against 75 KiB.
 _DECIMAL_BITS = 512
 
 
@@ -466,14 +476,13 @@ def _byte_table(step) -> tuple:
     return tables
 
 
-def _run(x: int, step, exact=False) -> int:
+def _run(x: int, step) -> int:
     """sum of d_j * 81^j over the radix-81 output digits d_j of ``step``'s
     byte transducer on x, highest first as read from the top byte: by two
     table lookups for x < 2^16, by Horner in the scan for at most
-    _HORNER_BYTES bytes, else four bytes a step, x padded on top with zero
-    bytes, into radix-81^4 digits that _assemble sums, to a Decimal with
-    exact.  The tables come from _TABLES, read without a call; _byte_table
-    builds them on a step's first scan."""
+    _HORNER_BYTES bytes, else by _assemble from _words.  The tables come
+    from _TABLES, read without a call; _byte_table builds them on a step's
+    first scan."""
     try:
         next_state, out = _TABLES[step]
     except KeyError:
@@ -491,8 +500,24 @@ def _run(x: int, step, exact=False) -> int:
             value = 81 * value + out[i]
             state = next_state[i]
         return value
-    # x padded on top with zero bytes to a multiple of four
-    data = iter(x.to_bytes(-(-n // 4) * 4, "big"))
+    return _assemble(_words(x, step), 81 ** 4)
+
+
+def _exact_run(x: int, step):
+    """_run(x, step), past _HORNER_BYTES bytes a Decimal whose merge levels
+    from _DECIMAL_BITS on ran in Decimal; needs an exact decimal context."""
+    if x.bit_length() <= 8 * _HORNER_BYTES:
+        return _run(x, step)
+    return _assemble(_words(x, step), 81 ** 4, exact=True)
+
+
+def _words(x: int, step) -> list:
+    """``step``'s radix-81 output digits on x, highest first, four bytes a
+    step into one radix-81^4 digit, x padded on top with zero bytes to a
+    multiple of four."""
+    next_state, out = _TABLES.get(step) or _byte_table(step)
+    data = iter(x.to_bytes(-(-x.bit_length() // 32) * 4, "big"))
+    state = 0
     digits = []
     for b0, b1, b2, b3 in zip(data, data, data, data):
         i = state | b0
@@ -501,7 +526,7 @@ def _run(x: int, step, exact=False) -> int:
         m = next_state[k] | b3
         digits.append(531441 * out[i] + 6561 * out[j] + 81 * out[k] + out[m])
         state = next_state[m]
-    return _assemble(digits, 81 ** 4, exact)
+    return digits
 
 
 def _recursion_step(state, d):

@@ -1,4 +1,3 @@
-import argparse
 import contextlib
 import errno
 import os
@@ -84,44 +83,6 @@ def test_eval_accepts_decimal_past_str_limit(capsys):
     code, out_hex, _ = invoke(["eval", hex(N)], capsys)
     assert code == 0
     assert out_decimal == out_hex
-
-
-def _digit_texts(n, rng):
-    # n-digit texts: the lowest, the highest, a random one and one that is
-    # mostly leading zeros
-    return ("1" + "0" * (n - 1), "9" * n, str(Decimal(rng.randrange(10 ** (n - 1), 10 ** n))),
-            "0" * (n - 3) + "407")
-
-
-@pytest.mark.parametrize("offset", [-1, 0, 1])
-def test_decimal_parse_at_the_split(offset):
-    n = cli._SPLIT_DIGITS + offset
-    for text in _digit_texts(n, random.Random(n)):
-        assert cli._natural(text) == int(text)
-
-
-def test_decimal_parse_by_halves_at_several_depths():
-    d = cli._SPLIT_DIGITS
-    rng = random.Random(d)
-    with cli._any_length_ints():
-        for n in (2 * d, 2 * d + 1, 4 * d - 1, 4 * d + 1, 9 * d + 7, 30011):
-            for text in _digit_texts(n, rng):
-                assert cli._by_halves(text) == int(text), n
-                assert cli._natural(f" {text}\n") == int(text), n
-
-
-def test_long_decimal_text_parses_as_int_reads_it(capsys):
-    # past the split, text that is not all ASCII digits goes to int(), which
-    # takes signs, single underscores between digits and other Unicode digits
-    d = cli._SPLIT_DIGITS
-    with cli._any_length_ints():
-        for text in ("+" + "7" * d, "1_" * d + "1", "\u0663" * (d + 1)):
-            assert cli._natural(text) == int(text)
-        for text in ("7" * d + "x", "7" * d + " " + "7" * d, "7" * d + "_",
-                     "1__" + "7" * d, "-" + "7" * (d + 5), "7" * d + "\u00b2"):
-            with pytest.raises(argparse.ArgumentTypeError):
-                cli._natural(text)
-            assert invoke(["eval", text], capsys)[0] == 64
 
 
 def test_eval_residues(capsys):
@@ -292,7 +253,7 @@ def test_eval_at_the_decimal_switch(offset, capsys, monkeypatch):
         for N in (1 << 32 * (w - 1) + 1, (1 << 32 * w) - 1,
                   random.Random(w).getrandbits(32 * w) | 1 << 32 * w - 1):
             with cli._exact_decimal():
-                value = core._run(N, core._recursion_step, True)
+                value = core._exact_run(N, core._recursion_step)
             assert isinstance(value, Decimal) == (offset >= 0)
             _eval_matches_digit_dp(N, capsys)
 

@@ -511,6 +511,9 @@ def test_residue_sum_vs_brute():
             assert core.residue_sum(l, N) == pref[N], (l, N)
             assert core.residue_sum(l, N, evaluate=core.newman_sum_decomposition) \
                 == pref[N], (l, N)
+            # any other evaluator is called once per row entry
+            assert core.residue_sum(l, N, evaluate=lambda n: brute.newman(3, 0, n)) \
+                == pref[N], (l, N)
 
 
 def test_residue_two_by_the_recursion_at_4n():
