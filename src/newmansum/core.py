@@ -22,14 +22,13 @@ O(x) enumeration in :mod:`newmansum.oracle`:
 Both algorithms take O(log x) steps.  Each evaluator runs its steps as a
 finite-state transducer: it finds the small digits d_j of
 S_{3,0}(x) = sum of d_j * 3^j in one pass over the bytes of x, summed on
-one of three paths.  An x below 2^16 takes two table lookups and no loop:
-it is read as two bytes, the top one zero for x < 2^8, which is sound
-because a zero byte read in the start state outputs 0 and stays there.  An
-x of at most ``_HORNER_BYTES`` bytes has its digits summed by Horner's rule
-in the pass.  A longer x, padded on top with zero bytes by the same rule,
-is read four bytes a step into one radix-81^4 digit per step, a list a
-quarter as long as its bytes, whose digits are summed by divide and conquer
-(``_assemble``), so its cost is bounded by big-integer multiplication.
+one of two paths.  An x below 2^16 takes two table lookups and no loop: it
+is read as two bytes, the top one zero for x < 2^8, which is sound because
+a zero byte read in the start state outputs 0 and stays there.  Any larger
+x, padded on top with zero bytes by the same rule, is read four bytes a
+step into one radix-81^4 digit per step, a list a quarter as long as its
+bytes, whose digits are summed by divide and conquer (``_assemble``), so
+its cost is bounded by big-integer multiplication.
 That merge runs on ints; for the CLI's printed value its levels from
 ``_DECIMAL_BITS`` on run in exact ``Decimal``, whose text is linear in its
 length where int->str is quadratic.
@@ -384,36 +383,25 @@ def scaled_residue_sum(m: int, k: int, r: int, n: int) -> int:
 # (S_{3,0} is 4-regular; Allouche & Shallit, Automatic Sequences, ch. 16).
 # _byte_table extends a transducer to whole bytes, four base-4 digits at a
 # time, so one pass over the bytes of x gives the digits, four per byte as
-# one digit in radix 81 = 3^4, highest first.  _run sums them on one of
-# three paths, all resting on one rule of both step functions: a zero byte
-# read in state 0 outputs 0 and stays in state 0.  An x below 2^16 takes two
-# lookups from state 0, with no bytes object and no loop (its top byte is
-# zero for x < 2^8).  An x of at most _HORNER_BYTES bytes is summed by
-# Horner's rule in the scan.  A longer x is padded on top with zero bytes to
-# a multiple of four and read four bytes a step; each step appends one
-# radix-81^4 digit, below 2^30 in size and so a one-digit CPython int, and
-# _assemble's pairwise merge sums the list, a quarter as long as the bytes.
-# This replaces O(log x) steps on O(log x)-bit integers by a linear scan
-# and, for long x, a divide-and-conquer sum whose cost is bounded by
-# big-integer multiplication.  The merge's levels run on ints; _exact_run,
-# the CLI's scan, runs them from the first level whose base has
-# _DECIMAL_BITS bits on in exact Decimal, and the CLI prints that Decimal,
-# whose str() is linear in its length, where CPython 3.11's int->str is
-# quadratic.
-
-# Bytes of x up to which _run sums its digits by Horner in the scan loop
-# rather than four bytes a step into _assemble.  Medians of 41 alternating
-# in-process timings of 20 random x (2 vCPU, CPython 3.11.7; five runs):
-# Horner / four-byte scan took 28.2-46.1 / 28.9-45.3 us at 144 bytes
-# (Horner lower in four runs of five), 32.1-33.4 / 31.9-33.8 us at 160
-# (three of five), 33.6-36.0 / 33.7-35.6 us at 168 (one), 36.3-38.3 /
-# 34.7-37.3 us at 176 and 40.4-44.6 / 37.9-41.2 us at 192 (none).  The two
-# are within 2 % of each other from 128 to 168 bytes.
-_HORNER_BYTES = 160
+# one digit in radix 81 = 3^4, highest first.  _run sums them on one of two
+# paths, both resting on one rule of both step functions: a zero byte read in
+# state 0 outputs 0 and stays in state 0.  An x below 2^16 takes two lookups
+# from state 0, with no bytes object and no loop (its top byte is zero for
+# x < 2^8).  Any larger x is padded on top with zero bytes to a multiple of
+# four and read four bytes a step; each step appends one radix-81^4 digit,
+# below 2^30 in size and so a one-digit CPython int, and _assemble's
+# pairwise merge sums the list, a quarter as long as the bytes.  This
+# replaces O(log x) steps on O(log x)-bit integers by a linear scan and a
+# divide-and-conquer sum whose cost is bounded by big-integer
+# multiplication.  The merge's levels run on ints; _exact_run, the CLI's
+# scan, runs them from the first level whose base has _DECIMAL_BITS bits on
+# in exact Decimal, and the CLI prints that Decimal, whose str() is linear
+# in its length, where CPython 3.11's int->str is quadratic.
 
 # Bits of the merge base from which _assemble's exact levels run in Decimal.
-# The sixth level of every long x has a base of 81^128, 811 bits, so each
-# exact merge ends in a Decimal.  Medians of alternating timings of the
+# The sixth level, reached by an x of more than 32 words (128 bytes), has a
+# base of 81^128, 811 bits, so the exact merge of such an x ends in a
+# Decimal.  Medians of alternating timings of the
 # exact scan and str() of its sum at 2 random x (41 rounds at 2^15 bits, 7
 # at 2^18, 5 at 2^20; 2 vCPU, CPython 3.11.7), switching at 256 / 512 /
 # 1024 / 2048 bits: 1.77 / 1.76 / 1.79 / 1.85 ms at 2^15 bits, 19.8 / 19.4
@@ -455,7 +443,7 @@ def _step_table(step) -> list:
 
 # The byte tables of each step function, keyed by it: filled by _byte_table
 # at a step's first scan, so none is built at import and there are at most
-# two, one per evaluator, shared by the three summing paths of _run.
+# two, one per evaluator, shared by the two summing paths of _run.
 _TABLES = {}
 
 
@@ -479,10 +467,9 @@ def _byte_table(step) -> tuple:
 def _run(x: int, step) -> int:
     """sum of d_j * 81^j over the radix-81 output digits d_j of ``step``'s
     byte transducer on x, highest first as read from the top byte: by two
-    table lookups for x < 2^16, by Horner in the scan for at most
-    _HORNER_BYTES bytes, else by _assemble from _words.  The tables come
-    from _TABLES, read without a call; _byte_table builds them on a step's
-    first scan."""
+    table lookups for x < 2^16, else by _assemble from _words.  The tables
+    come from _TABLES, read without a call; _byte_table builds them on a
+    step's first scan."""
     try:
         next_state, out = _TABLES[step]
     except KeyError:
@@ -492,22 +479,12 @@ def _run(x: int, step) -> int:
         # read in state 0 outputs 0 and stays in state 0 for both steps
         i = x >> 8
         return 81 * out[i] + out[next_state[i] | x & 255]
-    state = value = 0
-    n = (x.bit_length() + 7) // 8
-    if n <= _HORNER_BYTES:
-        for byte in x.to_bytes(n, "big"):
-            i = state | byte
-            value = 81 * value + out[i]
-            state = next_state[i]
-        return value
     return _assemble(_words(x, step), 81 ** 4)
 
 
 def _exact_run(x: int, step):
-    """_run(x, step), past _HORNER_BYTES bytes a Decimal whose merge levels
-    from _DECIMAL_BITS on ran in Decimal; needs an exact decimal context."""
-    if x.bit_length() <= 8 * _HORNER_BYTES:
-        return _run(x, step)
+    """_run(x, step), a Decimal once the merge reaches _DECIMAL_BITS, its
+    levels from there on run in Decimal; needs an exact decimal context."""
     return _assemble(_words(x, step), 81 ** 4, exact=True)
 
 

@@ -229,21 +229,21 @@ def _eval_matches_digit_dp(N, capsys):
 
 
 @pytest.mark.parametrize("extra", [1, 2, 3, 4])
-def test_eval_past_the_horner_switch(extra, capsys):
+def test_eval_at_each_word_padding(extra, capsys):
     # the four paddings of the four-byte scan: the lowest, the highest and a
-    # random N of _HORNER_BYTES + 1 to + 4 bytes
-    n = core._HORNER_BYTES + extra
-    for N in (1 << 8 * n - 8, (1 << 8 * n) - 1,
-              random.Random(n).getrandbits(8 * n) | 1 << 8 * n - 1):
-        _eval_matches_digit_dp(N, capsys)
+    # random N of 3 to 9 bytes whose top word holds extra bytes, one word
+    # and the first merge
+    rng = random.Random(extra)
+    for n in range(3, 10):
+        if n % 4 == extra % 4:
+            for N in (1 << 8 * n - 8, (1 << 8 * n) - 1, rng.getrandbits(8 * n) | 1 << 8 * n - 1):
+                _eval_matches_digit_dp(N, capsys)
 
 
 @pytest.mark.parametrize("offset", [-1, 0, 1])
-def test_eval_at_the_decimal_switch(offset, capsys, monkeypatch):
+def test_eval_at_the_decimal_switch(offset, capsys):
     """N whose merge ends one level below the first Decimal level, at it and
-    one above it.  Every N of 2^16 and more takes the four-byte scan here, so
-    that the level below, which no N past _HORNER_BYTES ends at, is reached."""
-    monkeypatch.setattr(core, "_HORNER_BYTES", 0)
+    one above it."""
     base = 81 ** 4
     top = offset + next(level for level in range(20)
                         if (base ** (1 << level)).bit_length() >= core._DECIMAL_BITS)
@@ -256,6 +256,23 @@ def test_eval_at_the_decimal_switch(offset, capsys, monkeypatch):
                 value = core._exact_run(N, core._recursion_step)
             assert isinstance(value, Decimal) == (offset >= 0)
             _eval_matches_digit_dp(N, capsys)
+
+
+def test_eval_exact_route_equals_the_int_route():
+    """The residue sums eval prints, by exact scans, against the int scans:
+    every N below 2^12, and odd N = 1 (mod 3) past 2^16 bits, whose exact
+    values are Decimals and whose decomposition adds a boundary term."""
+    rng = random.Random(2 ** 16)
+    long = [N for N in (rng.getrandbits(2 ** 16 + 64) | 1 << 2 ** 16 + 63 | 1 for _ in range(12))
+            if N % 3 == 1][:3]
+    assert len(long) == 3
+    with cli._exact_decimal():
+        for step in (core._recursion_step, core._decomposition_step):
+            for N in (*range(2 ** 12), *long):
+                for l in (0, 1, 2):
+                    value = core._residue(l, N, step, exact=True)
+                    assert value == core._residue(l, N, step), (N, l, step)
+                    assert isinstance(value, Decimal) == (N in long)
 
 
 @pytest.mark.parametrize("bits", [2 ** 18, 2 ** 20])

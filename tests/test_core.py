@@ -278,22 +278,36 @@ def _scalar_decomposition(x):
     return sum(v for _, v in walks.decomposition(x))
 
 
-def _at_switch(test):
-    """Add examples at both switches of _run's summing paths.
-
-    2^16 - 1, 2^16 and 2^16 + 1, where the scanned value leaves the
-    two-lookup path for Horner's rule, and 2^17 - 1, 2^17 and 2^17 + 1,
-    where the decomposition's scanned x >> 1 does.  Then _HORNER_BYTES - 1,
-    _HORNER_BYTES and _HORNER_BYTES + 1 bytes, where the scan changes from
-    Horner's rule to four bytes a step: the lowest, the highest and a random
-    N of each length."""
-    for N in (2 ** 16 - 1, 2 ** 16, 2 ** 16 + 1, 2 ** 17 - 1, 2 ** 17, 2 ** 17 + 1):
-        test = example(N)(test)
-    rng = random.Random(core._HORNER_BYTES)
-    for n in (core._HORNER_BYTES - 1, core._HORNER_BYTES, core._HORNER_BYTES + 1):
-        for N in (1 << 8 * n - 8, (1 << 8 * n) - 1, rng.getrandbits(8 * n) | 1 << 8 * n - 1):
+def _examples(Ns):
+    """A decorator that adds each N of Ns as an explicit example."""
+    def add(test):
+        for N in Ns:
             test = example(N)(test)
-    return test
+        return test
+    return add
+
+
+def _by_length(lengths, rng):
+    """The lowest, the highest and a random N of each byte length."""
+    return [N for n in lengths
+            for N in (1 << 8 * n - 8, (1 << 8 * n) - 1, rng.getrandbits(8 * n) | 1 << 8 * n - 1)]
+
+
+# Where _run's summing paths and merges change.  2^16 - 1, 2^16 and 2^16 + 1,
+# where the scanned value leaves the two-lookup path for the four-byte scan,
+# and 2^17 - 1, 2^17 and 2^17 + 1, where the decomposition's scanned x >> 1
+# does.  Then N of 3 to 6 bytes, one word with each of its four zero
+# paddings, and of 7 to 9 bytes, two words and the first merge.
+_at_switch = _examples([2 ** 16 - 1, 2 ** 16, 2 ** 16 + 1, 2 ** 17 - 1, 2 ** 17, 2 ** 17 + 1,
+                        *_by_length(range(3, 10), random.Random(9))])
+
+
+def _every_29th_bit_length(test):
+    """Add a random N of every 29th bit length up to 2^12, then three odd
+    N of 2^12 bits."""
+    rng = random.Random(12)
+    return _examples([*(rng.getrandbits(b) | 1 << b - 1 for b in range(1, 2 ** 12 + 1, 29)),
+                      *(rng.getrandbits(2 ** 12) | 1 << 2 ** 12 - 1 | 1 for _ in range(3))])(test)
 
 
 @settings(max_examples=25)
@@ -309,6 +323,7 @@ def test_digit_scan_matches_scalar_loops(N):
 # an odd N past CPython's 4300-digit int->str limit
 @example((1 << 2 ** 14) - 1)
 @_at_switch
+@_every_29th_bit_length
 def test_digit_scan_matches_traces(N):
     want = _horner(core.recursion_trace(N))
     assert core.newman_sum_recursive(N) == want
@@ -340,17 +355,21 @@ def test_digit_scan_small_exhaustive():
 
 @pytest.mark.parametrize("extra", [1, 2, 3, 4])
 def test_four_byte_scan_matches_traces(extra):
-    """The first four lengths past _HORNER_BYTES, padded on top with 3, 2, 1
-    and 0 zero bytes: the lowest, the highest and random N of each, against
-    the traces, which walk the digits one at a time without the byte tables."""
-    n = core._HORNER_BYTES + extra
-    rng = random.Random(n)
-    for N in (1 << 8 * n - 8, (1 << 8 * n) - 1,
-              *(rng.getrandbits(8 * n) | 1 << 8 * n - 1 for _ in range(4))):
-        want = _horner(core.recursion_trace(N))
-        assert core.newman_sum_recursive(N) == want
-        assert core.newman_sum_decomposition(N) == want
-        assert sum(c * 3 ** j for _, c, j in core.decomposition_terms(N)) == want
+    """N whose top word holds ``extra`` bytes, padded on top with 3, 2, 1 or
+    0 zero bytes: of 3 to 9 bytes, one word and the first merge, and of 161
+    to 164 bytes.  The lowest, the highest and random N of each length,
+    against the traces, which walk the digits one at a time without the
+    byte tables."""
+    rng = random.Random(extra)
+    for n in (*range(3, 10), *range(161, 165)):
+        if n % 4 != extra % 4:
+            continue
+        for N in (1 << 8 * n - 8, (1 << 8 * n) - 1,
+                  *(rng.getrandbits(8 * n) | 1 << 8 * n - 1 for _ in range(4))):
+            want = _horner(core.recursion_trace(N))
+            assert core.newman_sum_recursive(N) == want, N
+            assert core.newman_sum_decomposition(N) == want, N
+            assert sum(c * 3 ** j for _, c, j in core.decomposition_terms(N)) == want, N
 
 
 def test_recursive_sum_memory_is_a_fraction_of_n():
@@ -366,20 +385,6 @@ def test_recursive_sum_memory_is_a_fraction_of_n():
     finally:
         tracemalloc.stop()
     assert peak < 32 * 2 ** 15 // 8, f"{peak / 2 ** 20:.3f} MiB"
-
-
-def test_horner_and_assemble_paths_agree(monkeypatch):
-    """Every N through Horner's rule, then every N through _assemble."""
-    rng = random.Random(12)
-    sample = [rng.getrandbits(b) | 1 << b - 1 for b in range(1, 2 ** 12 + 1, 29)]
-    sample += [rng.getrandbits(2 ** 12) | 1 << 2 ** 12 - 1 | 1 for _ in range(3)]
-    values = []
-    for horner_bytes in (10 ** 9, 0):
-        monkeypatch.setattr(core, "_HORNER_BYTES", horner_bytes)
-        values.append([(core.newman_sum_recursive(N), core.newman_sum_decomposition(N))
-                       for N in sample])
-    assert values[0] == values[1]
-    assert all(r == d for r, d in values[0])
 
 
 def test_assemble():
@@ -469,17 +474,15 @@ def test_byte_table_build_peaks_small():
 
 
 def test_byte_tables_built_once_per_evaluator(monkeypatch):
-    # every size of N, the three summing paths of _run included (two lookups
-    # below 2^16, Horner's rule up to _HORNER_BYTES bytes of the scanned x and
-    # the four-byte scan past it), shares one pair of tables per step function
+    # every size of N, the two summing paths of _run included (two lookups
+    # below 2^16 and the four-byte scan from there), shares one pair of
+    # tables per step function
     builds = []
     real = core._step_table
     monkeypatch.setattr(core, "_step_table", lambda step: builds.append(step) or real(step))
     monkeypatch.setattr(core, "_TABLES", {})
     rng = random.Random(28)
-    horner_bits = 8 * core._HORNER_BYTES
-    for bits in [0, 1, 2, 7, 8, 9, 15, 16, 17,
-                 *range(horner_bits - 9, horner_bits + 35), 2 ** 12, 2 ** 14]:
+    for bits in [0, 1, 2, 7, 8, 9, *range(15, 75), 2 ** 12, 2 ** 14]:
         N = rng.getrandbits(bits) | 1 << bits >> 1
         assert core.newman_sum_decomposition(N) == core.newman_sum_recursive(N), bits
         for l in (0, 1, 2):

@@ -4,6 +4,7 @@ import ast
 import inspect
 import types
 from itertools import combinations
+from pathlib import Path
 
 import newmansum
 from newmansum import analysis, core, oracle, verify
@@ -79,3 +80,21 @@ def _top_level_names(module):
 def test_each_public_name_is_defined_in_its_module():
     for module in MODULES:
         assert set(module.__all__) <= _top_level_names(module), module.__name__
+
+
+def _parses_at_the_floor(source):
+    """Whether source parses as the grammar of Python 3.10, the oldest
+    version pyproject.toml's requires-python accepts."""
+    try:
+        ast.parse(source, feature_version=(3, 10))
+    except SyntaxError:
+        return False
+    return True
+
+
+def test_sources_parse_at_the_supported_python_floor():
+    sources = sorted(Path(newmansum.__file__).parent.glob("*.py"))
+    assert len(sources) == 7
+    assert [p.name for p in sources if not _parses_at_the_floor(p.read_text())] == []
+    # the check has teeth: an exception group needs Python 3.11
+    assert not _parses_at_the_floor("try:\n    pass\nexcept* ValueError:\n    pass\n")

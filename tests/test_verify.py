@@ -61,6 +61,19 @@ def test_bounds_sweep_reports_corrupted_recursion(corrupt_correction):
     assert rep.upper_attained == [19, 67, 259, 260, 271, 1039, 1040, 1087]
 
 
+def test_sweeps_check_the_four_byte_scan(monkeypatch):
+    # negative control: with every radix-81^4 digit of the four-byte scan one
+    # too high, each scanned value from 2^16 on sums wrong; the recursion
+    # scans N, so both sweeps must see it from N = 2^16
+    real = core._words
+    monkeypatch.setattr(core, "_words", lambda x, step: [d + 1 for d in real(x, step)])
+    assert verify.run_core_checks(65536).failures == [("recursion-vs-oracle", 65536)]
+    rep = verify.bounds_sweep(10 ** 6)
+    assert not rep.ok
+    assert all(N >= 65536 and why == "recursion-mismatch"
+               for N, _, why, _ in rep.bound_violations)
+
+
 def test_bounds_sweep_reports_wrong_float_bounds(monkeypatch):
     # negative control: with the lower bound's float constant 1% high, the
     # float bounds disagree with the exact ones at the spot checks
