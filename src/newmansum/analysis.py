@@ -48,7 +48,7 @@ from decimal import Decimal
 from functools import lru_cache
 from operator import index
 
-from .core import (_at_least, _recursion_step, _step_table, newman_sum_recursive,
+from .core import (_EXACT, _at_least, _recursion_step, _step_table, newman_sum_recursive,
                    thue_morse_sign)
 
 __all__ = [
@@ -140,9 +140,6 @@ def _context(prec: int) -> decimal.Context:
     """A fresh decimal context of prec-digit evaluations, of any exponent."""
     return decimal.Context(prec=prec, rounding=decimal.ROUND_HALF_EVEN,
                            Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN)
-
-
-_EXACT = _context(decimal.MAX_PREC)   # adds the few digits of _ladder exactly
 
 
 @lru_cache(maxsize=64)
@@ -519,8 +516,12 @@ def format_significant(value) -> str:
     """A float, int or Decimal rounded half away from zero to 12
     significant digits, in fixed notation where the leading digit's
     exponent is between -4 and 11 ('0.483459078354', '1.0'), else in
-    exponent notation ('1.2e+12', '5.0e-7')."""
-    d = _TWELVE.plus(Decimal(value)).normalize(_TWELVE)
+    exponent notation ('1.2e+12', '5.0e-7').  An infinity or NaN raises
+    ValueError."""
+    d = Decimal(value)
+    if not d.is_finite():
+        raise ValueError(f"format_significant needs a finite value, not {value!r}")
+    d = _TWELVE.plus(d).normalize(_TWELVE)
     if not d:
         return "0.0"
     if -5 < d.adjusted() < 12:

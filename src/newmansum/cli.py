@@ -86,15 +86,6 @@ def _exponents(text: str) -> list:
     return exps
 
 
-def _exact_decimal():
-    """A local decimal context whose integer arithmetic is exact at any
-    size: an inexact step raises instead of rounding."""
-    ctx = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX,
-                          Emin=decimal.MIN_EMIN)
-    ctx.traps[decimal.Inexact] = True
-    return decimal.localcontext(ctx)
-
-
 def _scaled_powers_of_3(terms):
     """Decimal c * 3^j for each (c, j) of terms, j never increasing, all
     from one power of 3 divided down as j falls.
@@ -102,7 +93,7 @@ def _scaled_powers_of_3(terms):
     A fall of j is one short division by an int power of 3, and a c of
     +-1 takes the power or its negation, with no product.  str() of a
     Decimal is linear in its length, where str() of an int is quadratic.
-    Needs an exact decimal context.
+    Needs core's exact context, core._EXACT.
     """
     power = top = None
     for c, j in terms:
@@ -131,7 +122,7 @@ def _write_sum_line(terms, total_text: str) -> None:
 def _write_recursion_trace(N: int, total_text: str) -> None:
     write = sys.stdout.write
     corrections = core.recursion_trace(N)
-    with _exact_decimal():
+    with decimal.localcontext(core._EXACT):
         n = Decimal(N)
         n_text = str(n)
         for c in corrections:
@@ -153,7 +144,7 @@ def _write_decomposition_trace(N: int, total_text: str) -> None:
     # values come from those arrays too, each (c, j) read just after it is
     # appended: an array's iterator reads the items appended since it began.
     coefficients, exponents = array("b"), array("q")
-    with _exact_decimal():
+    with decimal.localcontext(core._EXACT):
         values = _scaled_powers_of_3(zip(coefficients, exponents))
         for desc, c, j in core._decomposition_terms(N):
             coefficients.append(c)
@@ -175,10 +166,7 @@ def _cmd_eval(args) -> int:
         value = oracle.oracle_sum(3, args.residue, N)
     else:
         # a long N's value is a Decimal, never an int turned into text
-        step = (core._decomposition_step if args.algorithm == "decomposition"
-                else core._recursion_step)
-        with _exact_decimal():
-            value = core._residue(args.residue, N, step, exact=True)
+        value = core._residue(args.residue, N, args.algorithm, exact=True)
 
     value_text = str(value)
     print(value_text)

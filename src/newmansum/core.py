@@ -30,8 +30,9 @@ step into one radix-81^4 digit per step, a list a quarter as long as its
 bytes, whose digits are summed by divide and conquer (``_assemble``), so
 its cost is bounded by big-integer multiplication.
 That merge runs on ints; for the CLI's printed value its levels from
-``_DECIMAL_BITS`` on run in exact ``Decimal``, whose text is linear in its
-length where int->str is quadratic.
+``_DECIMAL_BITS`` on run in ``Decimal``, in the exact context ``_EXACT``
+that this module enters itself, and the text of that value is linear in
+its length where int->str is quadratic.
 ``decomposition_terms`` and ``recursion_trace`` run the same transducer
 steps one set bit or one digit at a time and return its small outputs, the
 terms c * 3^j, for display; the decomposition's terms are made one at a
@@ -46,7 +47,7 @@ limited to machine-word range.
 """
 
 from array import array
-from decimal import Decimal
+from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, Inexact, localcontext
 from operator import index
 
 __all__ = [
@@ -235,7 +236,11 @@ _CORRECTION = (0, -1, -1, 1, 1, -1, -1, 0, 0, 0, 1, -1,
 
 def recursion_correction(N: int) -> int:
     """c(N) in S_{3,0}(N) = 3*S_{3,0}(N//4) + c(N), for N >= 1."""
-    N = _at_least(N, 1, "recursion_correction needs N")
+    return _correction(_at_least(N, 1, "recursion_correction needs N"))
+
+
+def _correction(N):
+    # recursion_correction of an int N >= 0, unchecked; c(0) = _CORRECTION[0] = 0
     c = _CORRECTION[N % 24]
     return -c if N.bit_count() & 1 else c
 
@@ -282,9 +287,9 @@ _RESIDUE_ROWS = ((1,), (1, -1), (1, 1, -1))
 _SIX_ROWS = ((1,), (-1,), (1, -1), (-1, 1), (1, 1, -1), (-1, 2, 1, -1))
 
 
-# residue_sum's two evaluators, taken at load so that a caller who rebinds
-# the public names (a test's cache, say) changes no residue path
-_RECURSIVE, _DECOMPOSITION = newman_sum_recursive, newman_sum_decomposition
+# residue_sum's two evaluators, named as _residue takes them, at load so that
+# a caller who rebinds the public names (a test's cache, say) changes no path
+_ALGORITHMS = ((newman_sum_recursive, "recursive"), (newman_sum_decomposition, "decomposition"))
 
 
 def residue_sum(l: int, N: int, evaluate=newman_sum_recursive) -> int:
@@ -302,34 +307,13 @@ def residue_sum(l: int, N: int, evaluate=newman_sum_recursive) -> int:
     l, N = index(l), _at_least(N, 0, "residue_sum needs N")
     if l not in (0, 1, 2):
         raise ValueError("residue must be 0, 1 or 2")
-    if evaluate is _RECURSIVE:
-        return _residue(l, N, _recursion_step)
-    if evaluate is _DECOMPOSITION:
-        return _residue(l, N, _decomposition_step)
+    for known, algorithm in _ALGORITHMS:
+        if evaluate is known:
+            return _residue(l, N, algorithm)
     total = 0
     for c in _RESIDUE_ROWS[l]:
         total += c * evaluate(N)
         N <<= 1
-    return total
-
-
-def _residue(l, N, step, exact=False):
-    """residue_sum(l, N) of an int N >= 0 and l in 0..2 by ``step``'s digit
-    scans, with the recursion's two-scan row 2; with exact, each scan by
-    _exact_run.  Each 2^i N is made as its scan's argument, so that no two
-    are held at once."""
-    run = _exact_run if exact else _run
-    if step is _recursion_step:
-        if l == 2:
-            c = _CORRECTION[4 * N % 24]     # c(4N): 4N has the binary ones of N
-            return run(2 * N, step) - 2 * run(N, step) - (-c if N.bit_count() & 1 else c)
-        shift = total = 0
-    else:
-        # the decomposition scans x >> 1 and closes an odd x with its boundary
-        # term; of the 2^i N only N can be odd, and every row starts with 1
-        shift, total = 1, _boundary(N) if N & 1 else 0
-    for i, c in enumerate(_RESIDUE_ROWS[l]):
-        total += c * run(N << i >> shift, step)
     return total
 
 
@@ -393,10 +377,15 @@ def scaled_residue_sum(m: int, k: int, r: int, n: int) -> int:
 # pairwise merge sums the list, a quarter as long as the bytes.  This
 # replaces O(log x) steps on O(log x)-bit integers by a linear scan and a
 # divide-and-conquer sum whose cost is bounded by big-integer
-# multiplication.  The merge's levels run on ints; _exact_run, the CLI's
-# scan, runs them from the first level whose base has _DECIMAL_BITS bits on
-# in exact Decimal, and the CLI prints that Decimal, whose str() is linear
-# in its length, where CPython 3.11's int->str is quadratic.
+# multiplication.  The merge's levels run on ints; _residue's exact scans,
+# the CLI's, run them from the first level whose base has _DECIMAL_BITS bits
+# on in Decimal, in _EXACT, and the CLI prints that Decimal, whose str() is
+# linear in its length, where CPython 3.11's int->str is quadratic.
+
+# The package's one context for exact Decimal integer arithmetic at any length,
+# entered here for core's Decimal work and used by cli's traces and analysis
+_EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN)
+_EXACT.traps[Inexact] = True
 
 # Bits of the merge base from which _assemble's exact levels run in Decimal.
 # The sixth level, reached by an x of more than 32 words (128 bytes), has a
@@ -417,12 +406,12 @@ def _assemble(digits, base=81, exact=False) -> int:
     merging adjacent values pairwise (hi * B + lo), an odd level padded with a
     leading 0, with B = base squared at each level: the cost of a few
     big-integer products rather than one per digit.  With exact, the levels
-    from the first whose B has _DECIMAL_BITS bits merge Decimal values, and
-    the sum is a Decimal if one is reached; that needs an exact decimal
-    context."""
+    from the first whose B has _DECIMAL_BITS bits merge Decimal values in
+    _EXACT, and the sum is a Decimal if one is reached."""
     while len(digits) > 1:
         if exact and base.bit_length() >= _DECIMAL_BITS:
-            digits, base, exact = [*map(Decimal, digits)], Decimal(base), False
+            with localcontext(_EXACT):
+                return _assemble([*map(Decimal, digits)], Decimal(base))
         if len(digits) % 2:
             digits = [0, *digits]
         pairs = iter(digits)
@@ -482,10 +471,28 @@ def _run(x: int, step) -> int:
     return _assemble(_words(x, step), 81 ** 4)
 
 
-def _exact_run(x: int, step):
-    """_run(x, step), a Decimal once the merge reaches _DECIMAL_BITS, its
-    levels from there on run in Decimal; needs an exact decimal context."""
-    return _assemble(_words(x, step), 81 ** 4, exact=True)
+def _residue(l, N, algorithm, exact=False, run=_run):
+    """residue_sum(l, N) of an int N >= 0 and l in 0..2 by ``run``'s digit
+    scans of ``algorithm``, "recursive" or "decomposition", the recursion's
+    row 2 in two; with exact, by exact scans and summed in _EXACT, so a long
+    N's value is an exact Decimal in any context.  Each 2^i N is made as its
+    scan's argument, so that no two are held at once."""
+    if exact:
+        with localcontext(_EXACT):
+            return _residue(l, N, algorithm,
+                            run=lambda x, step: _assemble(_words(x, step), 81 ** 4, True))
+    if algorithm == "recursive":
+        step = _recursion_step
+        if l == 2:
+            return run(2 * N, step) - 2 * run(N, step) - _correction(4 * N)
+        shift = total = 0
+    else:
+        # the decomposition scans x >> 1 and closes an odd x with its boundary
+        # term; of the 2^i N only N can be odd, and every row starts with 1
+        step, shift, total = _decomposition_step, 1, _boundary(N) if N & 1 else 0
+    for i, c in enumerate(_RESIDUE_ROWS[l]):
+        total += c * run(N << i >> shift, step)
+    return total
 
 
 def _words(x: int, step) -> list:

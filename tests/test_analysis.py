@@ -579,6 +579,15 @@ def test_format_significant():
     assert analysis.format_significant(analysis.delta(1)) == "1.0"
 
 
+@pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan"),
+                                   Decimal("Infinity"), Decimal("NaN"), Decimal("sNaN")],
+                         ids=repr)
+def test_format_significant_rejects_non_finite(value):
+    # none of its documented forms: 'Infinity.0' and 'NaN.0' before the check
+    with pytest.raises(ValueError, match="finite"):
+        analysis.format_significant(value)
+
+
 def test_format_significant_prints_as_mpmath_nstr():
     # scan's delta column was mpmath's nstr(x, 12) of a 40-digit delta, and
     # prints alike: floats and exact deltas format as nstr formats them,

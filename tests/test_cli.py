@@ -252,8 +252,7 @@ def test_eval_at_the_decimal_switch(offset, capsys):
     for w in ((1 << top) + 1, 1 << top + 1):
         for N in (1 << 32 * (w - 1) + 1, (1 << 32 * w) - 1,
                   random.Random(w).getrandbits(32 * w) | 1 << 32 * w - 1):
-            with cli._exact_decimal():
-                value = core._exact_run(N, core._recursion_step)
+            value = core._residue(0, N, "recursive", exact=True)
             assert isinstance(value, Decimal) == (offset >= 0)
             _eval_matches_digit_dp(N, capsys)
 
@@ -266,13 +265,12 @@ def test_eval_exact_route_equals_the_int_route():
     long = [N for N in (rng.getrandbits(2 ** 16 + 64) | 1 << 2 ** 16 + 63 | 1 for _ in range(12))
             if N % 3 == 1][:3]
     assert len(long) == 3
-    with cli._exact_decimal():
-        for step in (core._recursion_step, core._decomposition_step):
-            for N in (*range(2 ** 12), *long):
-                for l in (0, 1, 2):
-                    value = core._residue(l, N, step, exact=True)
-                    assert value == core._residue(l, N, step), (N, l, step)
-                    assert isinstance(value, Decimal) == (N in long)
+    for algorithm in ("recursive", "decomposition"):
+        for N in (*range(2 ** 12), *long):
+            for l in (0, 1, 2):
+                value = core._residue(l, N, algorithm, exact=True)
+                assert value == core._residue(l, N, algorithm), (N, l, algorithm)
+                assert isinstance(value, Decimal) == (N in long)
 
 
 @pytest.mark.parametrize("bits", [2 ** 18, 2 ** 20])

@@ -1,6 +1,6 @@
 import random
 import tracemalloc
-from decimal import Decimal
+from decimal import Context, Decimal, localcontext
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -8,7 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 import brute
 import digit_dp
 import walks
-from newmansum import analysis, cli, core, oracle, verify
+from newmansum import analysis, core, oracle, verify
 
 
 # ---------------------------------------------------------------- digit sums
@@ -403,12 +403,13 @@ def test_assemble():
 def test_exact_assemble_merges_in_decimal_from_its_level():
     """With exact, the levels from the first whose base has _DECIMAL_BITS
     bits merge Decimal values; a merge that ends below that level stays an
-    int.  Both give the int merge's value."""
+    int.  Both give the int merge's value, in a caller's 28-digit context:
+    the Decimal levels run in core's own exact one."""
     base = 81 ** 4
     switch = next(level for level in range(20)
                   if (base ** (1 << level)).bit_length() >= core._DECIMAL_BITS)
     rng = random.Random(switch)
-    with cli._exact_decimal():
+    with localcontext(Context(prec=28)):
         # a list of w digits merges through levels 0 .. (w - 1).bit_length() - 1
         for top in (switch - 1, switch, switch + 1):
             for w in ((1 << top) + 1, 3 << top >> 1, 1 << top + 1):
@@ -420,6 +421,18 @@ def test_exact_assemble_merges_in_decimal_from_its_level():
                 assert core._assemble(digits, base) == want
         assert core._assemble([], base, True) == 0
         assert core._assemble([-7], base, True) == -7
+
+
+def test_exact_residue_is_exact_in_a_28_digit_context():
+    """core enters its own exact context: in a caller's 28-digit one, the
+    exact residue sums of a 2^13-bit N, Decimals, equal the int route."""
+    N = random.Random(2 ** 13).getrandbits(2 ** 13) | 1 << 2 ** 13 - 1
+    with localcontext(Context(prec=28)):
+        for algorithm in ("recursive", "decomposition"):
+            for l in (0, 1, 2):
+                value = core._residue(l, N, algorithm, exact=True)
+                assert isinstance(value, Decimal), (algorithm, l)
+                assert value == core._residue(l, N, algorithm), (algorithm, l)
 
 
 def test_fast_paths_at_2_16_bits():
