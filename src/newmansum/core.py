@@ -24,7 +24,7 @@ finite-state transducer: it finds the small digits d_j of
 S_{3,0}(x) = sum of d_j * 3^j in one pass over the bytes of x, summed on
 one of two paths.  An x below 2^16 takes two table lookups and no loop: it
 is read as two bytes, the top one zero for x < 2^8, which is sound because
-a zero byte read in the start state outputs 0 and stays there.  Any larger
+a zero byte read in any start state outputs 0 and stays there.  Any larger
 x, padded on top with zero bytes by the same rule, is read four bytes a
 step into one radix-81^4 digit per step, a list a quarter as long as its
 bytes, whose digits are summed by divide and conquer (``_assemble``), so
@@ -38,8 +38,10 @@ steps one set bit or one digit at a time and return its small outputs, the
 terms c * 3^j, for display; the decomposition's terms are made one at a
 time, so that a trace can write each and drop it.
 
-Sums over the other residue classes mod 3, mod 6 and mod 3*2^m reduce to
-S_{3,0} by fixed linear combinations and are exposed as ``residue_sum``,
+Sums over the other residue classes mod 3 are the same transducers
+started in another state, one per class l, so S_{3,l} is one scan like
+S_{3,0}.  Those mod 6 and mod 3*2^m map onto a class mod 3 by doubling or by
+dropping low bits.  They are exposed as ``residue_sum``,
 ``six_residue_sum`` and ``scaled_residue_sum``.
 
 Everything operates on arbitrary-precision integers; no operation here is
@@ -176,10 +178,11 @@ def boundary_term(N: int) -> int:
     return _boundary(N)
 
 
-def _boundary(N):
-    # boundary_term of an odd int N >= 1, unchecked; N - 1 has one binary
-    # one fewer than N, so its Thue-Morse sign is the opposite of N's
-    return (1 if N.bit_count() & 1 else -1) if N % 3 == 1 else 0
+def _boundary(N, l=0):
+    # S_{3,l}([N-1, N)) of an odd int N >= 1, unchecked: boundary_term for
+    # l = 0; N - 1 has one binary one fewer than N, so its Thue-Morse sign is
+    # the opposite of N's, counted when N - 1 = l (mod 3)
+    return (1 if N.bit_count() & 1 else -1) if (N - l) % 3 == 1 else 0
 
 
 def newman_sum_decomposition(x: int) -> int:
@@ -236,11 +239,7 @@ _CORRECTION = (0, -1, -1, 1, 1, -1, -1, 0, 0, 0, 1, -1,
 
 def recursion_correction(N: int) -> int:
     """c(N) in S_{3,0}(N) = 3*S_{3,0}(N//4) + c(N), for N >= 1."""
-    return _correction(_at_least(N, 1, "recursion_correction needs N"))
-
-
-def _correction(N):
-    # recursion_correction of an int N >= 0, unchecked; c(0) = _CORRECTION[0] = 0
+    N = _at_least(N, 1, "recursion_correction needs N")
     c = _CORRECTION[N % 24]
     return -c if N.bit_count() & 1 else c
 
@@ -275,16 +274,10 @@ def recursion_trace(N: int) -> list:
     return corrections
 
 
-# Coefficient rows of the residue identities.  Row l gives
+# Coefficient rows of the residue identities: row l gives
 #     S_{3,l}(N) = sum of c_i * S_{3,0}(2^i N),
-# and row j gives
-#     S_{6,j}([2x, 2y)) = sum of c_i * S_{3,0}([2^i x, 2^i y)).
-# Every entry is nonzero, so each row costs one evaluation per entry, but
-# for the recursion, whose step at 4N is S(4N) = 3*S(N) + c(4N), row 2 is
-#     S_{3,2}(N) = S(2N) - 2*S(N) - c(4N),
-# two scans.
+# one evaluation per entry, for an evaluator that is not one of the two below.
 _RESIDUE_ROWS = ((1,), (1, -1), (1, 1, -1))
-_SIX_ROWS = ((1,), (-1,), (1, -1), (-1, 1), (1, 1, -1), (-1, 2, 1, -1))
 
 
 # residue_sum's two evaluators, named as _residue takes them, at load so that
@@ -293,16 +286,15 @@ _ALGORITHMS = ((newman_sum_recursive, "recursive"), (newman_sum_decomposition, "
 
 
 def residue_sum(l: int, N: int, evaluate=newman_sum_recursive) -> int:
-    """S_{3,l}(N) for l in {0, 1, 2}, via S_{3,0} at N, 2N and 4N:
+    """S_{3,l}(N) for l in {0, 1, 2}.
+
+    By the divide-by-four recursion, or by ``newman_sum_decomposition`` if
+    that is given as ``evaluate``, it is one digit scan of N, that
+    evaluator's transducer started in the state of class l.  Any other
+    evaluator of S_{3,0} is called once per entry of the rows
 
         S_{3,1}(N) = S(N) - S(2N)
         S_{3,2}(N) = S(N) + S(2N) - S(4N)
-
-    S_{3,0} is computed by ``evaluate``, the divide-by-four recursion
-    unless another evaluator such as ``newman_sum_decomposition`` is given.
-    Either of those two is run as its own digit scans, the recursion
-    taking S_{3,2} from S(N) and S(2N) alone, its step giving
-    S(4N) = 3*S(N) + c(4N); any other evaluator is called once per row entry.
     """
     l, N = index(l), _at_least(N, 0, "residue_sum needs N")
     if l not in (0, 1, 2):
@@ -318,12 +310,13 @@ def residue_sum(l: int, N: int, evaluate=newman_sum_recursive) -> int:
 
 
 def six_residue_sum(j: int, x: int, y: int) -> int:
-    """S_{6,j}([2x, 2y)) for j in 0..5, from S_{3,0} interval sums.
+    """S_{6,j}([2x, 2y)) for j in 0..5, by two digit scans.
 
-    Doubling maps the multiples of 3 in [x, y) onto the multiples of 6 in
-    [2x, 2y) with one extra binary one, which pins each class down to a
-    fixed combination of S_{3,0} over [x,y), [2x,2y), [4x,4y) and [8x,8y),
-    writing I_i = S([2^i x, 2^i y)):
+    Each n = 2m + b in [2x, 2y) with b = j mod 2 has n = j (mod 6) exactly
+    when m = l = 2(j - b) (mod 3), and (-1)^b times m's Thue-Morse sign, so
+    S_{6,j}([2x, 2y)) = (-1)^b S_{3,l}([x, y)), the recursion's scans of y
+    and x from class l's state.  As fixed combinations of S_{3,0} over
+    [x,y), [2x,2y), [4x,4y) and [8x,8y), writing I_i = S([2^i x, 2^i y)):
 
         S_{6,0} = I_0            S_{6,1} = -I_0
         S_{6,2} = I_0 - I_1      S_{6,3} = I_1 - I_0
@@ -337,8 +330,10 @@ def six_residue_sum(j: int, x: int, y: int) -> int:
         raise ValueError("need 0 <= x <= y")
     if x == y:
         return 0
-    return sum(c * (newman_sum_recursive(y << i) - newman_sum_recursive(x << i))
-               for i, c in enumerate(_SIX_ROWS[j]))
+    b = j & 1
+    l = 2 * (j - b) % 3
+    value = _residue(l, y, "recursive") - _residue(l, x, "recursive")
+    return -value if b else value
 
 
 def scaled_residue_sum(m: int, k: int, r: int, n: int) -> int:
@@ -365,20 +360,25 @@ def scaled_residue_sum(m: int, k: int, r: int, n: int) -> int:
 # +-{1,2} * 3^j into digit j.  Either digit sequence is the output of a
 # finite-state transducer reading x one base-4 digit at a time from the top
 # (S_{3,0} is 4-regular; Allouche & Shallit, Automatic Sequences, ch. 16).
+# Started in another state, the same transducer gives S_{3,l}: the
+# recursion's state holds N_k mod 3 for the part N_k of N from digit k up,
+# and as 4 = 1 (mod 3), from state ((-l) mod 3) << 2 (0, 8 or 4) it holds
+# N_k - l mod 3; the decomposition's holds the prefix class t mod 6, and
+# from t = 2l (0, 2 or 4) it sums class l.  So every class is one scan.
 # _byte_table extends a transducer to whole bytes, four base-4 digits at a
 # time, so one pass over the bytes of x gives the digits, four per byte as
 # one digit in radix 81 = 3^4, highest first.  _run sums them on one of two
 # paths, both resting on one rule of both step functions: a zero byte read in
-# state 0 outputs 0 and stays in state 0.  An x below 2^16 takes two lookups
-# from state 0, with no bytes object and no loop (its top byte is zero for
+# any of the start states outputs 0 and stays there.  An x below 2^16 takes
+# two lookups, with no bytes object and no loop (its top byte is zero for
 # x < 2^8).  Any larger x is padded on top with zero bytes to a multiple of
 # four and read four bytes a step; each step appends one radix-81^4 digit,
 # below 2^30 in size and so a one-digit CPython int, and _assemble's
 # pairwise merge sums the list, a quarter as long as the bytes.  This
 # replaces O(log x) steps on O(log x)-bit integers by a linear scan and a
 # divide-and-conquer sum whose cost is bounded by big-integer
-# multiplication.  The merge's levels run on ints; _residue's exact scans,
-# the CLI's, run them from the first level whose base has _DECIMAL_BITS bits
+# multiplication.  The merge's levels run on ints; _residue's exact scan,
+# the CLI's, runs them from the first level whose base has _DECIMAL_BITS bits
 # on in Decimal, in _EXACT, and the CLI prints that Decimal, whose str() is
 # linear in its length, where CPython 3.11's int->str is quadratic.
 
@@ -453,55 +453,51 @@ def _byte_table(step) -> tuple:
     return tables
 
 
-def _run(x: int, step) -> int:
+def _run(x: int, step, start=0) -> int:
     """sum of d_j * 81^j over the radix-81 output digits d_j of ``step``'s
-    byte transducer on x, highest first as read from the top byte: by two
-    table lookups for x < 2^16, else by _assemble from _words.  The tables
-    come from _TABLES, read without a call; _byte_table builds them on a
-    step's first scan."""
+    byte transducer on x from the state ``start >> 8``, highest first as read
+    from the top byte: by two table lookups for x < 2^16, else by _assemble
+    from _words.  The tables come from _TABLES, read without a call;
+    _byte_table builds them on a step's first scan."""
     try:
         next_state, out = _TABLES[step]
     except KeyError:
         next_state, out = _byte_table(step)
     if x < 65536:
-        # x as two bytes from state 0, the top one 0 for x < 256: a zero byte
-        # read in state 0 outputs 0 and stays in state 0 for both steps
-        i = x >> 8
+        # x as two bytes, the top one 0 for x < 256: a zero byte read in any
+        # start state outputs 0 and stays there, for both steps
+        i = start | x >> 8
         return 81 * out[i] + out[next_state[i] | x & 255]
-    return _assemble(_words(x, step), 81 ** 4)
+    return _assemble(_words(x, step, start), 81 ** 4)
 
 
-def _residue(l, N, algorithm, exact=False, run=_run):
-    """residue_sum(l, N) of an int N >= 0 and l in 0..2 by ``run``'s digit
-    scans of ``algorithm``, "recursive" or "decomposition", the recursion's
-    row 2 in two; with exact, by exact scans and summed in _EXACT, so a long
-    N's value is an exact Decimal in any context.  Each 2^i N is made as its
-    scan's argument, so that no two are held at once."""
-    if exact:
-        with localcontext(_EXACT):
-            return _residue(l, N, algorithm,
-                            run=lambda x, step: _assemble(_words(x, step), 81 ** 4, True))
+def _residue(l, N, algorithm, exact=False):
+    """residue_sum(l, N) of an int N >= 0 and l in 0..2 by one digit scan of
+    ``algorithm``, "recursive" or "decomposition", from class l's start
+    state; with exact, by the exact merge, summed in _EXACT, so a long N's
+    value is an exact Decimal in any context."""
+    # start is the class's start state shifted by 8, as _run and _words index
     if algorithm == "recursive":
-        step = _recursion_step
-        if l == 2:
-            return run(2 * N, step) - 2 * run(N, step) - _correction(4 * N)
-        shift = total = 0
+        # state ((-l) mod 3) << 2, whose N_k mod 3 is then N_k - l mod 3
+        step, x, start, total = _recursion_step, N, -l % 3 << 10, 0
     else:
-        # the decomposition scans x >> 1 and closes an odd x with its boundary
-        # term; of the 2^i N only N can be odd, and every row starts with 1
-        step, shift, total = _decomposition_step, 1, _boundary(N) if N & 1 else 0
-    for i, c in enumerate(_RESIDUE_ROWS[l]):
-        total += c * run(N << i >> shift, step)
-    return total
+        # t = 2l, from which the scan of N >> 1 gives S_{3,l}(N) for even N;
+        # an odd N adds its boundary term
+        step, x, start = _decomposition_step, N >> 1, l << 9
+        total = _boundary(N, l) if N & 1 else 0
+    if not exact:
+        return total + _run(x, step, start)
+    with localcontext(_EXACT):
+        return total + _assemble(_words(x, step, start), 81 ** 4, True)
 
 
-def _words(x: int, step) -> list:
-    """``step``'s radix-81 output digits on x, highest first, four bytes a
-    step into one radix-81^4 digit, x padded on top with zero bytes to a
-    multiple of four."""
+def _words(x: int, step, start) -> list:
+    """``step``'s radix-81 output digits on x from the state ``start >> 8``,
+    highest first, four bytes a step into one radix-81^4 digit, x padded on
+    top with zero bytes to a multiple of four."""
     next_state, out = _TABLES.get(step) or _byte_table(step)
     data = iter(x.to_bytes(-(-x.bit_length() // 32) * 4, "big"))
-    state = 0
+    state = start
     digits = []
     for b0, b1, b2, b3 in zip(data, data, data, data):
         i = state | b0

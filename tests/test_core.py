@@ -343,14 +343,49 @@ def test_crossover_boundary(bits):
         assert core.newman_sum_decomposition(N) == want
 
 
-def test_digit_scan_small_exhaustive():
+@pytest.mark.parametrize("l", [0, 1, 2])
+def test_digit_scan_small_exhaustive(l):
     # the whole domain of the two-lookup path, a scanned value below 2^16, and
-    # one past it: the recursion scans N, the decomposition x >> 1
-    pref = brute.prefix(3, 0, 2 ** 17 + 2)
+    # one past it, from class l's start state: the recursion scans N, the
+    # decomposition x >> 1
+    pref = brute.prefix(3, l, 2 ** 17 + 2)
     for N in range(2 ** 16 + 2):
-        assert _fast_recursive(N) == pref[N], N
+        assert core._residue(l, N, "recursive") == pref[N], N
     for x in range(2 ** 17 + 2):
-        assert _fast_decomposition(x) == pref[x], x
+        assert core._residue(l, x, "decomposition") == pref[x], x
+
+
+@pytest.mark.parametrize("step, starts", [(core._recursion_step, (0, 4, 8)),
+                                          (core._decomposition_step, (0, 2, 4))])
+def test_zero_byte_keeps_every_start_state(step, starts):
+    """A zero byte read in any class's start state outputs 0 and keeps the
+    state: the rule that the two-lookup path, which reads an x < 2^8 as a
+    zero top byte, and _words' zero padding rest on."""
+    next_state, out = core._TABLES.get(step) or core._byte_table(step)
+    for state in starts:
+        assert next_state[state << 8] == state << 8, state
+        assert out[state << 8] == 0, state
+
+
+def test_every_residue_class_is_one_scan(monkeypatch):
+    """One _words call per _residue of a scanned value from 2^16 on, for
+    every class and both algorithms, exact or not, and two per
+    six_residue_sum."""
+    calls = []
+    real = core._words
+    monkeypatch.setattr(core, "_words",
+                        lambda x, step, start: calls.append(x) or real(x, step, start))
+    N = random.Random(36).getrandbits(300) | 1 << 299
+    for algorithm in ("recursive", "decomposition"):
+        for l in (0, 1, 2):
+            for exact in (False, True):
+                calls.clear()
+                core._residue(l, N, algorithm, exact)
+                assert len(calls) == 1, (algorithm, l, exact)
+    for j in range(6):
+        calls.clear()
+        core.six_residue_sum(j, N, 3 * N)
+        assert len(calls) == 2, j
 
 
 @pytest.mark.parametrize("extra", [1, 2, 3, 4])
@@ -467,9 +502,6 @@ def test_byte_table_matches_digit_walk(step, states):
     assert (next_state.typecode, out.typecode) == ("H", "b")
     assert next_state.tolist() == want_state
     assert out.tolist() == want_out
-    # _run's two-lookup path reads an x < 2^8 as a zero top byte, which must
-    # output 0 and stay in state 0
-    assert next_state[0] == out[0] == 0
 
 
 def test_byte_table_build_peaks_small():
@@ -533,8 +565,9 @@ def test_residue_sum_vs_brute():
 
 
 def test_residue_two_by_the_recursion_at_4n():
-    """S_{3,2}(N) = S(2N) - 2*S(N) - c(4N), the row the recursion takes, from
-    the oracle's S_{3,0} and S_{3,2} at every N < 5000."""
+    """S_{3,2}(N) = S(2N) - 2*S(N) - c(4N), the recursion's step at 4N in
+    the row S_{3,2} = S(N) + S(2N) - S(4N), from the oracle's S_{3,0} and
+    S_{3,2} at every N < 5000."""
     S0 = oracle.oracle_prefix(3, 0, 2 * 5000)
     S2 = oracle.oracle_prefix(3, 2, 5000)
     for N in range(5000):

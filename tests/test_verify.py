@@ -66,7 +66,8 @@ def test_sweeps_check_the_four_byte_scan(monkeypatch):
     # too high, each scanned value from 2^16 on sums wrong; the recursion
     # scans N, so both sweeps must see it from N = 2^16
     real = core._words
-    monkeypatch.setattr(core, "_words", lambda x, step: [d + 1 for d in real(x, step)])
+    monkeypatch.setattr(core, "_words",
+                        lambda x, step, start: [d + 1 for d in real(x, step, start)])
     assert verify.run_core_checks(65536).failures == [("recursion-vs-oracle", 65536)]
     rep = verify.bounds_sweep(10 ** 6)
     assert not rep.ok
