@@ -23,7 +23,7 @@ float N**LAMBDA widened by the error bound derived above ``_FLOAT_LIMIT``;
 past it, or where that cannot tell, the value is evaluated at _GUARD
 digits past its integer part, then twice the digits, and past _MAX_GUARD
 digits raises ``PrecisionCapError``.  A row's delta text comes from its
-float delta, widened alike, or else from that ladder past 12 digits; the
+float delta, widened alike, or else from that walk past 12 digits; the
 float is S/N**LAMBDA, or past 2^1023 the float of the 40-digit delta.
 
 ``bound_blocks`` walks the 4-adic blocks of the recursion transducer: a
@@ -91,7 +91,7 @@ _MAX_GUARD = 640   # the most digits past them that are ever tried
 # x^lam relatively, and the last two steps make v within 20.5u of its
 # computed value V, relatively, up to O(u^2).  V < 10^(E+1), E its
 # adjusted exponent, so that is under 105 units of 10^(E+1-p), the last
-# place of a p-digit number of V's size; _ladder widens V by _ERR_ULPS of
+# place of a p-digit number of V's size; _walk widens V by _ERR_ULPS of
 # them.
 _ERR_ULPS = 110
 
@@ -158,17 +158,21 @@ def _power(a: int, b: int, xn: int, xd: int, prec: int) -> Decimal:
     return ctx.divide(ctx.multiply(w, a), b)
 
 
-def _ladder(digits: int, evaluate, *args):
-    """(lo, hi), exact, around the value that ``evaluate(*args, prec)``, a
-    ``_power`` evaluation, computes at prec = digits + _GUARD, then at
-    twice the guard digits past ``digits``, and so on up to _MAX_GUARD."""
+def _walk(digits: int, judge, cap: str, evaluate, *args):
+    """The first answer other than None of ``judge(lo, hi)`` on exact
+    enclosures [lo, hi] of the value that ``evaluate(*args, prec)``, a
+    ``_power`` evaluation, computes at prec = digits + _GUARD, then at twice
+    the guard digits past ``digits``, and so on up to _MAX_GUARD; past it
+    PrecisionCapError, with the message ``cap % _MAX_GUARD``."""
     guard = _GUARD
     while guard <= _MAX_GUARD:
         prec = digits + guard
         v = evaluate(*args, prec)
         err = _EXACT.scaleb(_ERR_ULPS, v.adjusted() + 1 - prec)
-        yield _EXACT.subtract(v, err), _EXACT.add(v, err)
+        if (answer := judge(_EXACT.subtract(v, err), _EXACT.add(v, err))) is not None:
+            return answer
         guard *= 2
+    raise PrecisionCapError(cap % _MAX_GUARD)
 
 
 def growth_exponent():
@@ -218,27 +222,14 @@ def _settle(N: int, lo, hi, num: int, den: int, base: int, up: int):
     return None
 
 
-def _exact_round(N: int, num: int, den: int, base: int, up: int) -> int:
-    """``_settle``'s answer for v = (num/den)*(N/base)^lam, base in [4, 65],
-    from decimal enclosures alone: with N = 4^e*f, 1 <= f < 4,
-    v = (num*3^e/den)*(f/base)^lam, f/base in [1/65, 1], so v has at most as
-    many integer digits as num*3^e // den; the evaluation carries _GUARD
-    digits more, then twice as many, up to _MAX_GUARD, until it can tell.
-    """
-    e = (N.bit_length() - 1) // 2
-    a, xd = num * 3 ** e, base << 2 * e
-    digits = (a // den).bit_length() * 30103 // 100000 + 1   # log10(2) < 0.30103
-    for lo, hi in _ladder(digits, _power, a, den, N, xd):
-        if (b := _settle(N, lo, hi, num, den, base, up)) is not None:
-            return b
-    raise PrecisionCapError(f"a sharp bound at a {N.bit_length()}-bit N is not "
-                            f"decided {_MAX_GUARD} digits past its integer part")
-
-
 def _bound(N: int, p, c: float, spec) -> int:
-    """``_exact_round(N, *spec)``, c*N^lam being its v, read first from the
-    float c*p, p = N**LAMBDA, or None for N >= _FLOAT_LIMIT: widened by w
-    relative, it encloses v."""
+    """``_settle``'s answer for v = (num/den)*(N/base)^lam, spec being
+    (num, den, base, up) and base in [4, 65]: read first from the float c*p,
+    c*N^lam being v and p = N**LAMBDA, which widened by w relative encloses
+    v; for p None (N >= _FLOAT_LIMIT, or the decimal path alone) or where
+    that cannot tell, from ``_walk``'s decimal enclosures.  With N = 4^e*f,
+    1 <= f < 4, v = (num*3^e/den)*(f/base)^lam, f/base in [1/65, 1], so v
+    has at most as many integer digits as num*3^e // den."""
     if p is not None:
         v = c * p
         k = math.floor(v * _ABOVE)
@@ -246,7 +237,13 @@ def _bound(N: int, p, c: float, spec) -> int:
             return k + spec[3]
         if (b := _settle(N, v * _BELOW, v * _ABOVE, *spec)) is not None:
             return b
-    return _exact_round(N, *spec)
+    e = (N.bit_length() - 1) // 2
+    a, den = spec[0] * 3 ** e, spec[1]
+    digits = (a // den).bit_length() * 30103 // 100000 + 1   # log10(2) < 0.30103
+    # N and spec as defaults, not a closure, whose cells would slow the float stage
+    return _walk(digits, lambda lo, hi, N=N, spec=spec: _settle(N, lo, hi, *spec),
+                 f"a sharp bound at a {N.bit_length()}-bit N is not decided %d digits "
+                 "past its integer part", _power, a, den, N, spec[2] << 2 * e)
 
 
 def delta(N: int, S: int | None = None):
@@ -267,15 +264,14 @@ def _delta_at(N: int, S: int, prec: int) -> Decimal:
 
 
 def _exact_text(N: int, S: int) -> str:
-    """``format_significant`` of S/N^lam, S = S_{3,0}(N), from enclosures
-    of it on ``_exact_round``'s ladder of guard digits past the 12 printed
-    ones, until both ends print alike.  The printing rounds monotonically,
-    so then S/N^lam prints so too."""
-    for lo, hi in _ladder(12, _delta_at, N, S):
-        if (text := format_significant(lo)) == format_significant(hi):
-            return text
-    raise PrecisionCapError(f"delta at a {N.bit_length()}-bit N is not decided "
-                            f"{_MAX_GUARD} digits past its 12th")
+    """``format_significant`` of S/N^lam, S = S_{3,0}(N), from the first of
+    ``_walk``'s enclosures of it past the 12 printed digits whose ends print
+    alike.  The printing rounds monotonically, so then S/N^lam prints so too."""
+    def alike(lo, hi):
+        text = format_significant(lo)
+        return text if text == format_significant(hi) else None
+    return _walk(12, alike, f"delta at a {N.bit_length()}-bit N is not decided %d digits "
+                 "past its 12th", _delta_at, N, S)
 
 
 def lower_bound(N: int) -> int:

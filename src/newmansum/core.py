@@ -281,7 +281,7 @@ _RESIDUE_ROWS = ((1,), (1, -1), (1, 1, -1))
 
 
 # residue_sum's two evaluators, named as _residue takes them, at load so that
-# a caller who rebinds the public names (a test's cache, say) changes no path
+# a caller who rebinds the public names (a wrapper, say) changes no path
 _ALGORITHMS = ((newman_sum_recursive, "recursive"), (newman_sum_decomposition, "decomposition"))
 
 
@@ -401,7 +401,7 @@ _EXACT.traps[Inexact] = True
 _DECIMAL_BITS = 512
 
 
-def _assemble(digits, base=81, exact=False) -> int:
+def _assemble(digits, base, exact=False) -> int:
     """sum of digits[i] * base^(n-1-i) over the n digits, highest first, by
     merging adjacent values pairwise (hi * B + lo), an odd level padded with a
     leading 0, with B = base squared at each level: the cost of a few

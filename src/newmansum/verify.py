@@ -211,8 +211,9 @@ def bounds_sweep(max_n: int) -> BoundsReport:
             hi = analysis.upper_bound(N) if N >= 2 else None
             if N % _SPOT_STEP == 0:
                 rep.checks += 2
-                if (analysis._exact_round(N, *analysis._LOWER) != lo or (hi is not None
-                        and analysis._exact_round(N, *analysis._UPPER) != hi)):
+                if (analysis._bound(N, None, analysis._C_LO, analysis._LOWER) != lo
+                        or (hi is not None
+                            and analysis._bound(N, None, analysis._C_HI, analysis._UPPER) != hi)):
                     rep.bound_violations.append((N, S, "fast-path-mismatch", None))
             if whole:
                 continue

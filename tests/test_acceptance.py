@@ -9,7 +9,6 @@ printed 0.483459079 and 0.670720518 are the same closed forms at lam rounded
 to 0.79248125, and the test asserts that too.
 """
 
-import functools
 import random
 import time
 
@@ -212,10 +211,7 @@ def test_criterion_6_eta_discrepancy_table():
             f"derived {derived} vs defined {defined}")
 
 
-def test_criterion_7_residue_extensions(monkeypatch):
-    # the identities evaluate S at the same few thousand N over and over
-    monkeypatch.setattr(core, "newman_sum_recursive",
-                        functools.cache(core.newman_sum_recursive))
+def test_criterion_7_residue_extensions():
     checks = 0
 
     for l in (1, 2):

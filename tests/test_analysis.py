@@ -84,7 +84,7 @@ def test_upper_bound_exact_on_the_limsup_family(k):
     assert analysis.upper_bound(65 * 4 ** k) == 55 * 3 ** (k - 1)
 
 
-def test_exact_round_decides_a_near_integer_by_its_enclosure(monkeypatch):
+def test_decimal_bound_decides_a_near_integer_by_its_enclosure(monkeypatch):
     # N = base = 6 makes v = num/den exactly; here v = 12345 - 10^-25,
     # which a snap to any integer within 1e-20 would round to 12345.
     # 20 digits past the integer part leave 12345 in the enclosure, and
@@ -97,15 +97,35 @@ def test_exact_round_decides_a_near_integer_by_its_enclosure(monkeypatch):
         return power(*args)
     monkeypatch.setattr(analysis, "_power", recorded)
     num, den = 12345 * 10 ** 25 - 1, 10 ** 25
-    assert analysis._exact_round(6, num, den, 6, 0) == 12344
-    assert analysis._exact_round(6, num, den, 6, 1) == 12345
+    assert analysis._bound(6, None, None, (num, den, 6, 0)) == 12344
+    assert analysis._bound(6, None, None, (num, den, 6, 1)) == 12345
     assert precisions == [25, 45] * 2
 
 
 def _decimal_bound(N, lower):
-    """The lower or upper bound at N from the decimal path alone, which
-    bounds_sweep's spot checks compare the float-first bounds with."""
-    return analysis._exact_round(N, *(analysis._LOWER if lower else analysis._UPPER))
+    """The lower or upper bound at N from the decimal path alone, _bound
+    given no float, which bounds_sweep's spot checks compare the
+    float-first bounds with."""
+    if lower:
+        return analysis._bound(N, None, analysis._C_LO, analysis._LOWER)
+    return analysis._bound(N, None, analysis._C_HI, analysis._UPPER)
+
+
+def _count_walks(monkeypatch):
+    """Wrap analysis._walk, the decimal path, and return the N it walks at,
+    by value: 0 and 1 for the lower and upper bound, whose walks evaluate
+    _power over their den (1 and 3), and "text" for a delta text."""
+    walks = {0: [], 1: [], "text": []}
+    walk, dens = analysis._walk, (analysis._LOWER[1], analysis._UPPER[1])
+
+    def counted(digits, judge, cap, evaluate, *args):
+        if evaluate is analysis._delta_at:
+            walks["text"].append(args[0])
+        else:
+            walks[dens.index(args[1])].append(args[2])
+        return walk(digits, judge, cap, evaluate, *args)
+    monkeypatch.setattr(analysis, "_walk", counted)
+    return walks
 
 
 # k with 6*4^k and 260*4^k below 2^4096; from k = 154 on, neighbours
@@ -273,14 +293,12 @@ def test_bound_blocks_ask_each_block_end_one_bound(monkeypatch):
     # residue is wasted work.  Past about 2^55 a bound's float enclosure,
     # 8.6e-14 of its value each side, is over one unit wide, so the decimal
     # path settles many of these calls near 2^64
-    calls = {"lower_bound": [], "upper_bound": [], 0: [], 1: []}
+    calls = _count_walks(monkeypatch)
     for name in ("lower_bound", "upper_bound"):
+        calls[name] = []
         bound = getattr(analysis, name)
         monkeypatch.setattr(analysis, name, lambda N, bound=bound, args=calls[name]:
                             args.append(N) or bound(N))
-    exact_round = analysis._exact_round
-    monkeypatch.setattr(analysis, "_exact_round",
-                        lambda N, *spec: calls[spec[-1]].append(N) or exact_round(N, *spec))
     for _ in analysis.bound_blocks(2 ** 64):
         pass
     for name, up, residue in (("lower_bound", 0, 3), ("upper_bound", 1, 0)):
@@ -294,24 +312,13 @@ def test_float_first_escalation_counts(monkeypatch):
     # that is not a family value, or more than one integer, so a wider
     # enclosure raises these counts.  bounds_sweep's are its 200 spot
     # checks of the bounds against the decimal path.
-    counts = {0: 0, 1: 0, "_exact_text": 0}
-    exact_round, exact_text = analysis._exact_round, analysis._exact_text
-
-    def counted_round(N, *spec):
-        counts[spec[-1]] += 1
-        return exact_round(N, *spec)
-
-    def counted_text(*args):
-        counts["_exact_text"] += 1
-        return exact_text(*args)
-    monkeypatch.setattr(analysis, "_exact_round", counted_round)
-    monkeypatch.setattr(analysis, "_exact_text", counted_text)
+    walks = _count_walks(monkeypatch)
 
     def calls(run):
-        for name in counts:
-            counts[name] = 0
+        for name in walks:
+            walks[name].clear()
         run()
-        return counts[0], counts[1]
+        return len(walks[0]), len(walks[1])
 
     assert calls(lambda: list(analysis.bound_blocks(10 ** 6))) == (0, 0)
     assert calls(lambda: verify.bounds_sweep(10 ** 6)) == (100, 100)
@@ -319,7 +326,7 @@ def test_float_first_escalation_counts(monkeypatch):
     # the same rows' exact delta texts: the float text escalates only where the
     # per-N margin of _delta_text straddles a 12-digit rounding boundary
     # (54 with the old fixed margin of 1e-14; none with no margin)
-    assert counts["_exact_text"] == 10
+    assert len(walks["text"]) == 10
     assert calls(lambda: list(analysis.bound_blocks(2 ** 40))) == (0, 0)
 
 
@@ -547,9 +554,9 @@ def test_extremal_families_escalate_to_exact_bounds(monkeypatch):
     settle = analysis._settle
     monkeypatch.setattr(analysis, "_settle",
                         lambda N, *args: calls.append((args[-1], N)) or settle(N, *args))
-    exact_round = analysis._exact_round
-    monkeypatch.setattr(analysis, "_exact_round",
-                        lambda *args: calls.append("decimal") or exact_round(*args))
+    walk = analysis._walk
+    monkeypatch.setattr(analysis, "_walk",
+                        lambda *args: calls.append("decimal") or walk(*args))
     for k in range(16):
         for N, up in ((6 * 4 ** k, 0), (260 * 4 ** k, 1)):
             calls.clear()

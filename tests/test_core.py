@@ -423,16 +423,16 @@ def test_recursive_sum_memory_is_a_fraction_of_n():
 
 
 def test_assemble():
-    assert core._assemble([]) == 0
-    assert core._assemble([4, 0, -1, 2]) == 4 * 81 ** 3 - 81 + 2
-    assert core._assemble([5, 0, 0]) == 5 * 81 ** 2     # an odd level's padding is on top
+    assert core._assemble([], 81) == 0
+    assert core._assemble([4, 0, -1, 2], 81) == 4 * 81 ** 3 - 81 + 2
+    assert core._assemble([5, 0, 0], 81) == 5 * 81 ** 2     # an odd level's padding is on top
     assert core._assemble([3, -1, 2], 81 ** 4) == 3 * 81 ** 8 - 81 ** 4 + 2
     rng = random.Random(7)
     # odd and even lengths at every merge level of the short lists
     for n in (*range(20), 45, 1000):
         digits = [rng.randint(-121, 121) for _ in range(n)]
         want = sum(d * 81 ** i for i, d in enumerate(reversed(digits)))
-        assert core._assemble(digits) == want, n
+        assert core._assemble(digits, 81) == want, n
 
 
 def test_exact_assemble_merges_in_decimal_from_its_level():
